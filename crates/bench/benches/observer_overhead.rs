@@ -1,13 +1,10 @@
 //! Measures the cost of the observability probe path on the simulator's
-//! cycle loop, in three configurations:
+//! cycle loop, in two configurations:
 //!
 //! * `no_observer` — the baseline: probes are skipped behind one
 //!   predicted branch per cycle;
 //! * `nop_observer` — a [`NopObserver`] registered, so every probe call is
-//!   made and discarded;
-//! * `telemetry_disabled` — a [`TelemetryObserver`] registered while the
-//!   global recorder is disabled (the "built with telemetry, not tracing"
-//!   production configuration).
+//!   made and discarded.
 //!
 //! The point of the exercise: with no observer registered, instrumented
 //! smtsim must run within ~2% of its pre-instrumentation speed. The bench
@@ -19,7 +16,6 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use smtsim::trace::InstructionSource;
 use smtsim::{MachineConfig, NopObserver, Processor, StreamId};
-use sos_core::telemetry::{self, TelemetryObserver};
 use workloads::spec::Benchmark;
 
 const CYCLES: u64 = 20_000;
@@ -44,8 +40,6 @@ fn run_slice(cpu: &mut Processor, streams: &mut [Box<dyn InstructionSource>]) {
 }
 
 fn observer_overhead(c: &mut Criterion) {
-    telemetry::disable();
-
     let mut baseline_ns = 0.0;
     c.bench_function("observer_overhead/no_observer", |b| {
         let mut cpu = Processor::new(MachineConfig::alpha21264_like(THREADS));
@@ -63,21 +57,8 @@ fn observer_overhead(c: &mut Criterion) {
         nop_ns = b.mean_ns();
     });
 
-    let mut disabled_ns = 0.0;
-    c.bench_function("observer_overhead/telemetry_disabled", |b| {
-        let mut cpu = Processor::new(MachineConfig::alpha21264_like(THREADS));
-        cpu.set_observer(Box::new(TelemetryObserver::new()));
-        let mut streams = streams();
-        b.iter(|| run_slice(&mut cpu, &mut streams));
-        disabled_ns = b.mean_ns();
-    });
-
     let pct = |ns: f64| 100.0 * (ns / baseline_ns - 1.0);
-    println!(
-        "observer overhead vs no_observer: nop {:+.2}%, telemetry_disabled {:+.2}%",
-        pct(nop_ns),
-        pct(disabled_ns)
-    );
+    println!("observer overhead vs no_observer: nop {:+.2}%", pct(nop_ns));
     if std::env::var_os("OBSERVER_OVERHEAD_ASSERT").is_some() {
         assert!(
             pct(nop_ns) <= 2.0,

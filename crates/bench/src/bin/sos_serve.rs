@@ -28,7 +28,9 @@
 //! * **Request-scoped tracing** — with `--trace FILE`, every job's life
 //!   (admit → queue wait → schedule decision → timeslices → complete) is
 //!   recorded as Perfetto-compatible spans and written as a Chrome trace
-//!   at shutdown.
+//!   at shutdown. With `--metrics FILE`, the `metrics` verb's snapshot is
+//!   appended to FILE at shutdown (one JSON line per run). Either flag
+//!   traces the engine into a recorder whose metrics share the live hub.
 //!
 //! * **Fast simulation** — `--fast` (optionally `--fast-threshold F`)
 //!   starts the engine with phase-aware sampled fast simulation; the
@@ -59,7 +61,7 @@ use sos_core::metrics::{Counter, EngineMetrics, Gauge, LearnMetrics, MetricsHub}
 use sos_core::online::{OnlineConfig, OnlineEngine, SchedulerKind};
 use sos_core::opensys::{calibrate_benchmarks, JobArrival, JOB_KINDS};
 use sos_core::report::{percentiles, Percentiles};
-use sos_core::telemetry;
+use sos_core::telemetry::Recorder;
 use sos_core::PredictorKind;
 use std::collections::{BTreeMap, HashMap};
 use std::io::{BufRead, BufReader, Write};
@@ -289,6 +291,8 @@ struct Daemon {
     last_snapshot_cycles: u64,
     metrics: Option<PathBuf>,
     trace: Option<PathBuf>,
+    /// The engine's trace handle, present with `--metrics` or `--trace`.
+    recorder: Option<Arc<Recorder>>,
 }
 
 impl Daemon {
@@ -571,30 +575,24 @@ impl Daemon {
         }
     }
 
-    /// Writes end-of-life telemetry: the Chrome trace of request spans to
-    /// `--trace`, and drained events plus a hub metrics snapshot (in the
-    /// PR-1 registry line format) appended to `--metrics`.
-    fn export_telemetry(&mut self) {
-        if self.metrics.is_none() && self.trace.is_none() {
-            return;
-        }
-        let snap = telemetry::global().drain();
-        if let Some(path) = self.trace.clone() {
-            if let Err(e) = std::fs::write(&path, snap.chrome_trace_json()) {
+    /// Writes end-of-life telemetry: the Chrome trace of the recorder's
+    /// events to `--trace`, and the hub's metrics document (the `metrics`
+    /// verb's snapshot, one JSON line) appended to `--metrics`.
+    fn export_telemetry(&self) {
+        if let (Some(path), Some(recorder)) = (&self.trace, &self.recorder) {
+            if let Err(e) = std::fs::write(path, recorder.drain().chrome_trace_json()) {
                 eprintln!("sos-serve: trace export to {} failed: {e}", path.display());
             }
         }
-        if let Some(path) = self.metrics.clone() {
-            let mut out = telemetry::events_to_jsonl(&snap.events);
-            let mut metrics = snap.metrics;
+        if let Some(path) = &self.metrics {
             self.refresh_gauges();
-            metrics.extend(self.hub.snapshot(self.engine.now()).to_registry_metrics());
-            out.push_str(&telemetry::metrics_to_jsonl(&metrics));
+            let snapshot = self.hub.snapshot(self.engine.now());
+            let line = serde_json::to_string(&snapshot).expect("metrics serialize") + "\n";
             let res = std::fs::OpenOptions::new()
                 .create(true)
                 .append(true)
-                .open(&path)
-                .and_then(|mut f| f.write_all(out.as_bytes()));
+                .open(path)
+                .and_then(|mut f| f.write_all(line.as_bytes()));
             if let Err(e) = res {
                 eprintln!(
                     "sos-serve: metrics export to {} failed: {e}",
@@ -613,9 +611,6 @@ fn main() {
             std::process::exit(2);
         }
     };
-    if args.metrics.is_some() || args.trace.is_some() {
-        telemetry::enable();
-    }
     sos_bench::init_cache();
     eprintln!(
         "# sos-serve: calibrating {} benchmarks at SMT {} ...",
@@ -641,6 +636,13 @@ fn main() {
         args.slo_objective,
     );
     let sm = ServeMetrics::register(&hub);
+    let recorder = (args.metrics.is_some() || args.trace.is_some()).then(|| {
+        // Traced runs also export the engine series under the names traces
+        // have always used (`opensys.*`, `fastsim.*`).
+        EngineMetrics::alias_trace_names(&hub, "engine");
+        hub.alias("opensys.response_cycles", "serve.response_cycles");
+        Arc::new(Recorder::with_hub(Arc::clone(&hub)))
+    });
 
     let fastsim = if args.fast {
         Some(match args.fast_threshold {
@@ -673,8 +675,9 @@ fn main() {
         );
         engine.attach_learn_metrics(LearnMetrics::register(&hub));
     }
-    if args.trace.is_some() {
-        engine.set_job_spans(true);
+    if let Some(recorder) = &recorder {
+        engine.attach_recorder(Arc::clone(recorder));
+        engine.set_job_spans(args.trace.is_some());
     }
 
     // Restore the latest snapshot, if one matches this configuration.
@@ -737,6 +740,7 @@ fn main() {
         last_snapshot_cycles: 0,
         metrics: args.metrics.clone(),
         trace: args.trace.clone(),
+        recorder,
     };
 
     let listener = match TcpListener::bind(("127.0.0.1", args.port)) {
@@ -843,13 +847,15 @@ fn serve_connection(stream: TcpStream, tx: mpsc::Sender<Msg>, unparsable: Arc<Co
                 }
             }
         };
-        let json = match serde_json::to_string(&response) {
+        let mut line = match serde_json::to_string(&response) {
             Ok(j) => j,
             Err(e) => format!("{{\"ok\":false,\"error\":\"reply serialization: {e}\"}}"),
         };
+        // One write per reply: a separate write for the newline meets
+        // Nagle's algorithm and the peer's delayed ACK, stalling each reply.
+        line.push('\n');
         if writer
-            .write_all(json.as_bytes())
-            .and_then(|_| writer.write_all(b"\n"))
+            .write_all(line.as_bytes())
             .and_then(|_| writer.flush())
             .is_err()
         {

@@ -1,12 +1,14 @@
-//! Runs one `Jmn(X,Y,Z)` experiment with telemetry enabled and exports the
-//! recording: metrics as JSONL, the event stream as JSONL, and a Chrome
-//! `trace_event` JSON file loadable in Perfetto (<https://ui.perfetto.dev>).
+//! Runs one `Jmn(X,Y,Z)` experiment traced into a recorder and exports the
+//! recording: the metrics document (the `MetricsSnapshot` JSON the
+//! `sos-serve` `metrics` verb returns, on one line), the event stream as
+//! JSONL, and a Chrome `trace_event` JSON file loadable in Perfetto
+//! (<https://ui.perfetto.dev>).
 //!
 //! Usage:
 //!
 //! ```text
 //! sos-trace [--scale N] [--calibration CYCLES] [--trace out.json] \
-//!           [--metrics out.jsonl] [--events out.jsonl] [EXPERIMENT]
+//!           [--metrics out.json] [--events out.jsonl] [EXPERIMENT]
 //! ```
 //!
 //! `EXPERIMENT` is paper notation (default `Jsb(6,3,3)`); `--scale` is the
@@ -16,9 +18,10 @@
 //! executes and prints a summary, which is handy for smoke-testing.
 
 use sos_core::sos::SosScheduler;
-use sos_core::telemetry;
+use sos_core::telemetry::{self, Recorder};
 use sos_core::ExperimentSpec;
 use std::process::ExitCode;
+use std::sync::Arc;
 
 struct Args {
     spec: ExperimentSpec,
@@ -30,7 +33,7 @@ struct Args {
 }
 
 const USAGE: &str = "usage: sos-trace [--scale N] [--calibration CYCLES] [--trace out.json] \
-                     [--metrics out.jsonl] [--events out.jsonl] [EXPERIMENT]\n\
+                     [--metrics out.json] [--events out.jsonl] [EXPERIMENT]\n\
                      EXPERIMENT is paper notation like 'Jsb(6,3,3)' (default)";
 
 fn usage() -> ExitCode {
@@ -120,11 +123,9 @@ fn main() -> ExitCode {
     // without a warm disk cache eliding the simulator spans being traced.
     sos_core::cache::enable();
 
-    telemetry::reset();
-    telemetry::enable();
-    let report = SosScheduler::evaluate_experiment(&args.spec, &cfg);
-    telemetry::disable();
-    let snapshot = telemetry::drain();
+    let recorder = Arc::new(Recorder::new());
+    let report = SosScheduler::evaluate_experiment_traced(&args.spec, &cfg, &recorder);
+    let snapshot = recorder.drain();
     sos_bench::print_cache_stats();
 
     if let Some(path) = &args.trace_path {
@@ -134,13 +135,14 @@ fn main() -> ExitCode {
         eprintln!("# wrote Chrome trace: {path} (open in https://ui.perfetto.dev)");
     }
     if let Some(path) = &args.metrics_path {
-        if let Err(code) = write_file(path, &snapshot.metrics_jsonl()) {
+        let doc = serde_json::to_string(&snapshot.metrics).expect("metrics serialize") + "\n";
+        if let Err(code) = write_file(path, &doc) {
             return code;
         }
-        eprintln!("# wrote metrics JSONL: {path}");
+        eprintln!("# wrote metrics: {path}");
     }
     if let Some(path) = &args.events_path {
-        if let Err(code) = write_file(path, &snapshot.events_jsonl()) {
+        if let Err(code) = write_file(path, &telemetry::events_to_jsonl(&snapshot.events)) {
             return code;
         }
         eprintln!("# wrote event JSONL: {path}");
@@ -151,7 +153,9 @@ fn main() -> ExitCode {
         args.spec.label(),
         report.candidates.len(),
         snapshot.events.len(),
-        snapshot.metrics.len()
+        snapshot.metrics.counters.len()
+            + snapshot.metrics.gauges.len()
+            + snapshot.metrics.histograms.len()
     );
     sos_bench::print_experiment_summary(&report);
     ExitCode::SUCCESS

@@ -156,7 +156,7 @@ pub struct StatsReply {
     pub mean_slowdown: f64,
     /// Exact slowdown percentiles.
     pub slowdown: Percentiles,
-    /// Approximate response-time percentiles from the telemetry registry's
+    /// Approximate response-time percentiles from the metrics hub's
     /// log2-bucket histogram (what a metrics exporter would see).
     pub response_approx: Percentiles,
     /// SOS sample phases entered.
@@ -594,8 +594,12 @@ impl Client {
     /// Sends one raw line (useful for malformed-input tests) and blocks for
     /// the reply.
     pub fn send_line(&mut self, line: &str) -> std::io::Result<Response> {
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")?;
+        // One write per request (see the daemon's reply path): a separate
+        // newline write stalls on Nagle's algorithm and delayed ACK.
+        let mut request = String::with_capacity(line.len() + 1);
+        request.push_str(line);
+        request.push('\n');
+        self.writer.write_all(request.as_bytes())?;
         self.writer.flush()?;
         let mut reply = String::new();
         let n = self.reader.read_line(&mut reply)?;

@@ -1,9 +1,11 @@
 //! End-to-end test for the `sos-trace` binary: run a small experiment and
-//! validate that the metrics JSONL parses line by line and the Chrome trace
-//! is structurally Perfetto-loadable (object format, `traceEvents` array,
-//! known `ph` codes, balanced B/E spans).
+//! validate that the metrics document parses as a `MetricsSnapshot`, the
+//! events JSONL parses line by line, and the Chrome trace is structurally
+//! Perfetto-loadable (object format, `traceEvents` array, known `ph` codes,
+//! balanced B/E spans).
 
-use sos_core::telemetry::{Event, Metric};
+use sos_core::metrics::MetricsSnapshot;
+use sos_core::telemetry::Event;
 use std::process::Command;
 
 #[test]
@@ -11,7 +13,7 @@ fn sos_trace_produces_valid_jsonl_and_chrome_trace() {
     let dir = std::env::temp_dir().join(format!("sos-trace-test-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
     let trace_path = dir.join("trace.json");
-    let metrics_path = dir.join("metrics.jsonl");
+    let metrics_path = dir.join("metrics.json");
     let events_path = dir.join("events.jsonl");
 
     // Aggressively scaled down: the test binary is a debug build, so keep
@@ -39,15 +41,13 @@ fn sos_trace_produces_valid_jsonl_and_chrome_trace() {
     let stdout = String::from_utf8_lossy(&output.stdout);
     assert!(stdout.contains("Jsb(6,3,3)"), "{stdout}");
 
-    // Metrics: every line is a self-contained Metric object.
+    // Metrics: one MetricsSnapshot document, the `metrics` verb's shape.
     let metrics_text = std::fs::read_to_string(&metrics_path).expect("metrics file");
-    let metrics: Vec<Metric> = metrics_text
-        .lines()
-        .map(|l| serde_json::from_str(l).expect("metric line parses"))
-        .collect();
-    assert!(!metrics.is_empty());
-    assert!(metrics.iter().any(|m| m.name == "smtsim.cycles"));
-    assert!(metrics.iter().any(|m| m.name == "sos.experiments"));
+    let metrics: MetricsSnapshot =
+        serde_json::from_str(metrics_text.trim_end()).expect("metrics document parses");
+    assert!(!metrics.counters.is_empty());
+    assert!(metrics.counters.contains_key("smtsim.cycles"));
+    assert!(metrics.counters.contains_key("sos.experiments"));
 
     // Events: every line is a self-contained Event object.
     let events_text = std::fs::read_to_string(&events_path).expect("events file");

@@ -17,14 +17,13 @@
 //!   degrades least, scored from static benchmark profiles);
 //! * a rebalancing step migrates queued-but-not-started jobs off overloaded
 //!   shards ([`OnlineEngine::reclaim_unstarted`] guarantees no execution
-//!   progress is lost), with every migration recorded in telemetry and the
-//!   cluster metrics.
+//!   progress is lost), with every migration counted in the cluster
+//!   metrics.
 //!
 //! # Lockstep clocks and determinism
 //!
-//! Shard engines are not `Send` (the processor observer slot is
-//! thread-local by design), so each worker thread *constructs* its engine
-//! locally and is driven purely by messages — the [`sos_core::par`]
+//! Each worker thread *constructs* its shard engine locally and is driven
+//! purely by messages — the [`sos_core::par`]
 //! discipline of deterministic work distribution, applied to long-lived
 //! workers. All shard clocks advance in lockstep: one
 //! [`step`](ClusterEngine::step) of the cluster advances every shard by the
@@ -43,7 +42,6 @@ use crate::learn::LearnSummary;
 use crate::metrics::{EngineMetrics, LearnMetrics, MetricsHub};
 use crate::online::{JobRecord, OnlineConfig, OnlineEngine, SchedulerKind};
 use crate::report::{percentiles, Percentiles};
-use crate::telemetry::{self, Attr};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::mpsc;
@@ -764,15 +762,6 @@ impl ClusterEngine {
                 _ => shallow,
             };
             self.mirror[dest].migrated_in += 1;
-            telemetry::instant(
-                "cluster",
-                "cluster.migration",
-                vec![
-                    Attr::num("from", deep as f64),
-                    Attr::num("to", dest as f64),
-                    Attr::text("benchmark", format!("{:?}", arrival.benchmark)),
-                ],
-            );
             self.dispatch_to(dest, arrival);
             self.migrations += 1;
             if let Some(cm) = &self.metrics {

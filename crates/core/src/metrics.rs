@@ -1,18 +1,15 @@
-//! Live-service metrics: a lock-cheap facade over the telemetry primitives.
+//! Metrics: the crate's one home for counters, gauges, and histograms.
 //!
-//! [`crate::telemetry`] is a *recording* layer: probes buffer events and
-//! metrics behind one mutex, and everything is exported after the run. A
-//! long-running service needs the opposite shape — metrics that are cheap to
-//! write from a hot scheduler loop and cheap to *read while the process
-//! serves* — so this module adds:
+//! Metrics are cheap to write from a hot scheduler loop and cheap to *read
+//! while the process serves*:
 //!
 //! * [`Counter`] / [`Gauge`] — single relaxed atomics, handed out as
 //!   [`std::sync::Arc`] handles so hot paths never touch a map or a lock;
-//! * [`WindowedHistogram`] — the PR-1 log2-bucket [`Histogram`] sliced into
-//!   rotating time windows on the simulated-cycle clock, with bounded raw
-//!   samples per window for **exact** p50/p95/p99/p999 (via
-//!   [`crate::report::percentile`]) and a deterministic cross-worker
-//!   [`WindowedHistogram::merge`];
+//! * [`Histogram`] — a log2-bucket distribution, the storage unit of
+//!   [`WindowedHistogram`], which slices it into rotating time windows on
+//!   the simulated-cycle clock, with bounded raw samples per window for
+//!   **exact** p50/p95/p99/p999 (via [`crate::report::percentile`]) and a
+//!   deterministic cross-worker [`WindowedHistogram::merge`];
 //! * [`SloTracker`] — a good/total objective (e.g. "99% of responses under
 //!   50M cycles") with attainment and error-budget burn rate;
 //! * [`MetricsHub`] — the named registry tying those together, snapshotted
@@ -23,11 +20,12 @@
 //! The `sos-serve` daemon owns a hub, attaches [`EngineMetrics`] to its
 //! [`crate::online::OnlineEngine`], and answers the `metrics` protocol verb
 //! from [`MetricsHub::snapshot`]; `sos-top` renders the same snapshot as a
-//! live terminal dashboard. An engine without attached metrics pays nothing
-//! (one `Option` check), so batch reproductions are byte-identical.
+//! live terminal dashboard. A [`crate::telemetry::Recorder`] writes its
+//! metrics into a hub too, so a traced run exports the same document. An
+//! engine without attached metrics pays nothing (one `Option` check), so
+//! batch reproductions are byte-identical.
 
 use crate::report::percentile;
-use crate::telemetry::Histogram;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -105,6 +103,112 @@ impl Gauge {
 }
 
 // ---------------------------------------------------------------------------
+// Log2 histograms
+// ---------------------------------------------------------------------------
+
+/// A histogram over `u64` values with logarithmic (power-of-two) buckets.
+///
+/// Bucket `0` counts zeros; bucket `i > 0` counts values `v` with
+/// `2^(i-1) <= v < 2^i`. 65 buckets cover the full `u64` range.
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+pub struct Histogram {
+    /// Number of recorded values.
+    pub count: u64,
+    /// Sum of recorded values.
+    pub sum: u64,
+    /// Per-bucket counts (see type docs for bucket boundaries).
+    pub buckets: Vec<u64>,
+}
+
+impl Default for Histogram {
+    fn default() -> Self {
+        Histogram {
+            count: 0,
+            sum: 0,
+            buckets: vec![0; 65],
+        }
+    }
+}
+
+impl Histogram {
+    /// Bucket index for `value`.
+    pub fn bucket_index(value: u64) -> usize {
+        (64 - value.leading_zeros()) as usize
+    }
+
+    /// Inclusive lower bound of bucket `i`.
+    pub fn bucket_lower_bound(i: usize) -> u64 {
+        if i == 0 {
+            0
+        } else {
+            1u64 << (i - 1)
+        }
+    }
+
+    /// Records one value.
+    pub fn record(&mut self, value: u64) {
+        self.count += 1;
+        self.sum = self.sum.saturating_add(value);
+        self.buckets[Self::bucket_index(value)] += 1;
+    }
+
+    /// Mean of recorded values (0 when empty).
+    pub fn mean(&self) -> f64 {
+        if self.count == 0 {
+            0.0
+        } else {
+            self.sum as f64 / self.count as f64
+        }
+    }
+
+    /// Approximate quantile (`q` in `[0, 1]`): the lower bound of the bucket
+    /// containing the `q`-th ordered value.
+    pub fn approx_quantile(&self, q: f64) -> u64 {
+        if self.count == 0 {
+            return 0;
+        }
+        let rank = (q.clamp(0.0, 1.0) * (self.count - 1) as f64) as u64;
+        let mut seen = 0u64;
+        for (i, &c) in self.buckets.iter().enumerate() {
+            seen += c;
+            if seen > rank {
+                return Self::bucket_lower_bound(i);
+            }
+        }
+        Self::bucket_lower_bound(64)
+    }
+
+    /// The p50/p95/p99 summary of the recorded distribution, from
+    /// [`approx_quantile`](Self::approx_quantile) (so each value is the
+    /// lower bound of its log2 bucket — a floor, not an interpolation).
+    /// All fields are `NaN` when the histogram is empty, matching
+    /// [`crate::report::percentiles`] on empty input.
+    pub fn percentile_summary(&self) -> crate::report::Percentiles {
+        if self.count == 0 {
+            return crate::report::Percentiles {
+                p50: f64::NAN,
+                p95: f64::NAN,
+                p99: f64::NAN,
+            };
+        }
+        crate::report::Percentiles {
+            p50: self.approx_quantile(0.50) as f64,
+            p95: self.approx_quantile(0.95) as f64,
+            p99: self.approx_quantile(0.99) as f64,
+        }
+    }
+
+    /// Adds another histogram's observations into this one.
+    pub fn merge(&mut self, other: &Histogram) {
+        self.count += other.count;
+        self.sum = self.sum.saturating_add(other.sum);
+        for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
+            *a += b;
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Windowed histograms
 // ---------------------------------------------------------------------------
 
@@ -174,7 +278,7 @@ impl Window {
     }
 }
 
-/// A log2-bucket histogram sliced into rotating time windows.
+/// A log2-bucket [`Histogram`] sliced into rotating time windows.
 ///
 /// Values are recorded with an explicit clock (simulated cycles); the
 /// histogram keeps the most recent `max_windows` windows of `window_cycles`
@@ -270,7 +374,7 @@ impl WindowedHistogram {
         self.windows.len()
     }
 
-    /// The live windows merged into one log2-bucket [`Histogram`].
+    /// The live windows merged into one [`Histogram`].
     pub fn merged(&self) -> Histogram {
         let mut out = Histogram::default();
         for w in &self.windows {
@@ -466,6 +570,8 @@ pub struct MetricsHub {
     gauges: Mutex<BTreeMap<String, Arc<Gauge>>>,
     histograms: Mutex<BTreeMap<String, WindowedHistogram>>,
     slos: Mutex<BTreeMap<String, SloTracker>>,
+    /// Second names for existing series: alias → target.
+    aliases: Mutex<BTreeMap<String, String>>,
 }
 
 impl MetricsHub {
@@ -512,6 +618,27 @@ impl MetricsHub {
         }
     }
 
+    /// Records `value` into histogram `name`, creating it on first use as a
+    /// whole-run distribution: one window that never rotates.
+    pub fn record_run(&self, name: &str, now: u64, value: u64) {
+        let mut histograms = Self::lock(&self.histograms);
+        match histograms.get_mut(name) {
+            Some(h) => h.record(now, value),
+            None => {
+                let mut h = WindowedHistogram::new(u64::MAX, 1);
+                h.record(now, value);
+                histograms.insert(name.to_string(), h);
+            }
+        }
+    }
+
+    /// Exports the counter, gauge, or histogram `target` under `name` as
+    /// well, in every snapshot. Both names read the one series, so nothing
+    /// is counted twice; an alias whose target does not exist is skipped.
+    pub fn alias(&self, name: &str, target: &str) {
+        Self::lock(&self.aliases).insert(name.to_string(), target.to_string());
+    }
+
     /// Registers an SLO: `objective` of observations ≤ `target`.
     pub fn register_slo(&self, name: &str, target: u64, objective: f64) {
         Self::lock(&self.slos)
@@ -539,15 +666,15 @@ impl MetricsHub {
 
     /// Snapshots every metric at clock `now` as a versioned document.
     pub fn snapshot(&self, now: u64) -> MetricsSnapshot {
-        let counters = Self::lock(&self.counters)
+        let mut counters: BTreeMap<String, u64> = Self::lock(&self.counters)
             .iter()
             .map(|(k, v)| (k.clone(), v.get()))
             .collect();
-        let gauges = Self::lock(&self.gauges)
+        let mut gauges: BTreeMap<String, f64> = Self::lock(&self.gauges)
             .iter()
             .map(|(k, v)| (k.clone(), v.get()))
             .collect();
-        let histograms = Self::lock(&self.histograms)
+        let mut histograms: BTreeMap<String, HistogramSnapshot> = Self::lock(&self.histograms)
             .iter()
             .map(|(k, h)| {
                 let merged = h.merged();
@@ -577,6 +704,15 @@ impl MetricsHub {
                 )
             })
             .collect();
+        for (name, target) in Self::lock(&self.aliases).iter() {
+            if let Some(&v) = counters.get(target) {
+                counters.insert(name.clone(), v);
+            } else if let Some(&v) = gauges.get(target) {
+                gauges.insert(name.clone(), v);
+            } else if let Some(h) = histograms.get(target).cloned() {
+                histograms.insert(name.clone(), h);
+            }
+        }
         let slos = Self::lock(&self.slos)
             .iter()
             .map(|(k, s)| (k.clone(), s.status()))
@@ -715,49 +851,6 @@ impl MetricsSnapshot {
         }
         out
     }
-
-    /// Converts the snapshot to PR-1 [`crate::telemetry::Metric`] rows, so
-    /// the `--metrics` JSONL export carries the live registry in the same
-    /// line format as the recording registry.
-    pub fn to_registry_metrics(&self) -> Vec<crate::telemetry::Metric> {
-        use crate::telemetry::{Metric, MetricKind};
-        let mut out = Vec::new();
-        for (name, &v) in &self.counters {
-            out.push(Metric {
-                name: name.clone(),
-                kind: MetricKind::Counter,
-                counter: Some(v),
-                gauge: None,
-                histogram: None,
-            });
-        }
-        for (name, &v) in &self.gauges {
-            out.push(Metric {
-                name: name.clone(),
-                kind: MetricKind::Gauge,
-                counter: None,
-                gauge: Some(v),
-                histogram: None,
-            });
-        }
-        for (name, h) in &self.histograms {
-            let mut hist = Histogram::default();
-            for b in &h.buckets {
-                hist.buckets[Histogram::bucket_index(b.lo)] += b.count;
-            }
-            hist.count = h.count;
-            hist.sum = h.sum;
-            out.push(Metric {
-                name: name.clone(),
-                kind: MetricKind::Histogram,
-                counter: None,
-                gauge: None,
-                histogram: Some(hist),
-            });
-        }
-        out.sort_by(|a, b| a.name.cmp(&b.name));
-        out
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -770,6 +863,10 @@ impl MetricsSnapshot {
 /// attached).
 #[derive(Clone, Debug)]
 pub struct EngineMetrics {
+    /// Jobs submitted (`engine.arrivals`).
+    pub arrivals: Arc<Counter>,
+    /// Jobs completed (`engine.departures`).
+    pub departures: Arc<Counter>,
     /// Timeslices simulated (`engine.timeslices`).
     pub timeslices: Arc<Counter>,
     /// Timeslices spent in the SOS sample phase (`engine.sampling_slices`).
@@ -786,6 +883,9 @@ pub struct EngineMetrics {
     pub repeat_picks: Arc<Counter>,
     /// Sample phases entered (`engine.resamples`).
     pub resamples: Arc<Counter>,
+    /// Symbiosis-interval doublings after a repeated prediction
+    /// (`engine.backoffs`).
+    pub backoffs: Arc<Counter>,
     /// Timeslices synthesized by fast-sim extrapolation instead of detailed
     /// execution (`engine.extrapolated_slices`); 0 with fast-sim off.
     pub extrapolated_slices: Arc<Counter>,
@@ -806,6 +906,29 @@ pub struct EngineMetrics {
 }
 
 impl EngineMetrics {
+    /// The names traced runs have always exported for engine series, with
+    /// the series (after the prefix) each one reads: see
+    /// [`Self::alias_trace_names`].
+    pub const TRACE_NAMES: [(&'static str, &'static str); 9] = [
+        ("opensys.arrivals", "arrivals"),
+        ("opensys.departures", "departures"),
+        ("opensys.resamples", "resamples"),
+        ("opensys.backoffs", "backoffs"),
+        ("opensys.jobs_in_system", "queue_depth"),
+        ("fastsim.phase_locks", "fastsim_phase_locks"),
+        ("fastsim.fallbacks", "fastsim_fallbacks"),
+        ("fastsim.resyncs", "fastsim_resyncs"),
+        ("fastsim.extrapolated_slices", "extrapolated_slices"),
+    ];
+
+    /// Exports the series registered under `prefix` by their
+    /// [`Self::TRACE_NAMES`] as well ([`MetricsHub::alias`]).
+    pub fn alias_trace_names(hub: &MetricsHub, prefix: &str) {
+        for (name, series) in Self::TRACE_NAMES {
+            hub.alias(name, &format!("{prefix}.{series}"));
+        }
+    }
+
     /// Registers the engine series in `hub` and resolves the handles.
     pub fn register(hub: &MetricsHub) -> Self {
         Self::register_prefixed(hub, "engine")
@@ -816,6 +939,8 @@ impl EngineMetrics {
     /// `<prefix>.timeslices`, `<prefix>.queue_depth`, … family.
     pub fn register_prefixed(hub: &MetricsHub, prefix: &str) -> Self {
         EngineMetrics {
+            arrivals: hub.counter(&format!("{prefix}.arrivals")),
+            departures: hub.counter(&format!("{prefix}.departures")),
             timeslices: hub.counter(&format!("{prefix}.timeslices")),
             sampling_slices: hub.counter(&format!("{prefix}.sampling_slices")),
             symbios_slices: hub.counter(&format!("{prefix}.symbios_slices")),
@@ -823,6 +948,7 @@ impl EngineMetrics {
             predictor_picks: hub.counter(&format!("{prefix}.predictor_picks")),
             repeat_picks: hub.counter(&format!("{prefix}.repeat_picks")),
             resamples: hub.counter(&format!("{prefix}.resamples")),
+            backoffs: hub.counter(&format!("{prefix}.backoffs")),
             extrapolated_slices: hub.counter(&format!("{prefix}.extrapolated_slices")),
             fastsim_phase_locks: hub.counter(&format!("{prefix}.fastsim_phase_locks")),
             fastsim_fallbacks: hub.counter(&format!("{prefix}.fastsim_fallbacks")),
@@ -911,6 +1037,82 @@ mod tests {
     use super::*;
     use crate::par::parallel_map_with_workers;
     use crate::report::percentiles;
+
+    #[test]
+    fn histogram_buckets_are_log2() {
+        let mut h = Histogram::default();
+        for v in [0u64, 1, 2, 3, 4, 7, 8, 1024] {
+            h.record(v);
+        }
+        assert_eq!(h.buckets[0], 1); // 0
+        assert_eq!(h.buckets[1], 1); // 1
+        assert_eq!(h.buckets[2], 2); // 2, 3
+        assert_eq!(h.buckets[3], 2); // 4..8
+        assert_eq!(h.buckets[4], 1); // 8..16
+        assert_eq!(h.buckets[11], 1); // 1024..2048
+        assert_eq!(h.count, 8);
+        assert_eq!(Histogram::bucket_lower_bound(11), 1024);
+        assert!(h.approx_quantile(0.0) <= h.approx_quantile(1.0));
+    }
+
+    #[test]
+    fn histogram_percentile_summary() {
+        let mut h = Histogram::default();
+        for _ in 0..99 {
+            h.record(100); // bucket lower bound 64
+        }
+        h.record(1 << 20);
+        let p = h.percentile_summary();
+        assert_eq!(p.p50, 64.0);
+        assert_eq!(p.p95, 64.0);
+        // The single outlier is the 100th value: p99 still lands in the
+        // dense bucket, and the summary is monotone.
+        assert!(p.p50 <= p.p95 && p.p95 <= p.p99);
+        let empty = Histogram::default().percentile_summary();
+        assert!(empty.p50.is_nan() && empty.p95.is_nan() && empty.p99.is_nan());
+    }
+
+    #[test]
+    fn histogram_merge_adds_observations() {
+        let mut a = Histogram::default();
+        let mut b = Histogram::default();
+        a.record(10);
+        b.record(100);
+        b.record(1);
+        a.merge(&b);
+        assert_eq!(a.count, 3);
+        assert_eq!(a.sum, 111);
+    }
+
+    #[test]
+    fn run_histograms_keep_every_value() {
+        let hub = MetricsHub::new();
+        hub.record_run("h", 0, 5);
+        hub.record_run("h", u64::MAX - 1, 9);
+        let h = &hub.snapshot(0).histograms["h"];
+        assert_eq!((h.count, h.total_count, h.sum, h.windows), (2, 2, 14, 1));
+    }
+
+    #[test]
+    fn aliases_export_one_series_under_two_names() {
+        let hub = MetricsHub::new();
+        let em = EngineMetrics::register(&hub);
+        EngineMetrics::alias_trace_names(&hub, "engine");
+        hub.alias("missing.alias", "no.such.series");
+        em.resamples.add(3);
+        em.queue_depth.set(2.0);
+        let snap = hub.snapshot(0);
+        assert_eq!(snap.counters["opensys.resamples"], 3);
+        assert_eq!(snap.counters["engine.resamples"], 3);
+        assert_eq!(snap.gauges["opensys.jobs_in_system"], 2.0);
+        for (name, _) in EngineMetrics::TRACE_NAMES {
+            assert!(
+                snap.counters.contains_key(name) || snap.gauges.contains_key(name),
+                "{name} not exported"
+            );
+        }
+        assert!(!snap.counters.contains_key("missing.alias"));
+    }
 
     #[test]
     fn learn_metrics_sync_from_summary() {
@@ -1149,28 +1351,6 @@ mod tests {
                 "bad exposition value in {line:?}"
             );
         }
-    }
-
-    #[test]
-    fn snapshot_converts_to_registry_metrics() {
-        let hub = MetricsHub::new();
-        hub.counter("a").add(2);
-        hub.gauge("b").set(1.5);
-        hub.register_histogram("c", 1_000, 2);
-        hub.record("c", 0, 10);
-        let rows = hub.snapshot(0).to_registry_metrics();
-        assert_eq!(rows.len(), 3);
-        assert_eq!(rows[0].name, "a");
-        assert_eq!(rows[0].counter, Some(2));
-        assert_eq!(rows[1].gauge, Some(1.5));
-        let hist = rows[2].histogram.as_ref().unwrap();
-        assert_eq!(hist.count, 1);
-        assert_eq!(hist.sum, 10);
-        assert_eq!(hist.buckets[Histogram::bucket_index(10)], 1);
-        // The rows serialize in the registry's JSONL line format.
-        let line = serde_json::to_string(&rows[2]).unwrap();
-        let back: crate::telemetry::Metric = serde_json::from_str(&line).unwrap();
-        assert_eq!(back, rows[2]);
     }
 
     #[test]

@@ -22,7 +22,7 @@ use crate::metrics::{EngineMetrics, LearnMetrics};
 use crate::predictor::PredictorKind;
 use crate::sample::ScheduleSample;
 use crate::schedule::Schedule;
-use crate::telemetry::{self, Attr, TelemetryObserver};
+use crate::telemetry::{Attr, Recorder, TelemetryObserver};
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -30,6 +30,7 @@ use serde::{Deserialize, Serialize};
 use smtsim::fastsim::{tuple_key, FastSim, FastSimCounters, FastSimEvent, FastSimPolicy};
 use smtsim::trace::{InstructionSource, StreamId};
 use smtsim::{MachineConfig, Processor, TimesliceStats};
+use std::sync::Arc;
 use workloads::phased::{fp_int_alternator, PhasedStream};
 use workloads::synth::SyntheticStream;
 
@@ -309,12 +310,22 @@ pub struct OnlineEngine {
     learn_metrics: Option<LearnMetrics>,
     /// The bandit pull awaiting settlement, if any.
     pending_learn: Option<PendingLearn>,
+    /// Trace handle ([`Self::attach_recorder`]): scheduler events, and the
+    /// pipeline timeslices through a [`TelemetryObserver`]. `None` (the
+    /// default) records nothing.
+    recorder: Option<Arc<Recorder>>,
     /// Whether to emit per-job hierarchical trace spans (admit → queue wait
-    /// → schedule decision → timeslices → complete) into the telemetry
+    /// → schedule decision → timeslices → complete) into the recorder's
     /// event stream. Off by default: job spans are high-volume and only a
     /// tracing service wants them.
     job_spans: bool,
 }
+
+// Engines must stay `Send`, so callers can hand them to worker threads.
+const _: fn() = || {
+    fn assert_send<T: Send>() {}
+    assert_send::<OnlineEngine>();
+};
 
 impl OnlineEngine {
     /// Builds an engine on a fresh Alpha-21264-like machine at the
@@ -325,10 +336,7 @@ impl OnlineEngine {
     /// `cfg.base_interval == 0`.
     pub fn new(kind: SchedulerKind, cfg: &OnlineConfig) -> Self {
         cfg.validate();
-        let mut cpu = Processor::new(MachineConfig::alpha21264_like(cfg.smt));
-        if telemetry::is_enabled() {
-            cpu.set_observer(Box::new(TelemetryObserver::new()));
-        }
+        let cpu = Processor::new(MachineConfig::alpha21264_like(cfg.smt));
         let rng = SmallRng::seed_from_u64(cfg.seed ^ 0x5c4ed);
         OnlineEngine {
             cfg: cfg.clone(),
@@ -349,8 +357,22 @@ impl OnlineEngine {
             learner: cfg.effective_learn().map(Learner::new),
             learn_metrics: None,
             pending_learn: None,
+            recorder: None,
             job_spans: false,
         }
+    }
+
+    /// Traces this engine into `recorder`: arrival, resample, fast-sim,
+    /// backoff, learner, and departure events (plus per-job spans with
+    /// [`Self::set_job_spans`]) on the recorder's clock, which the engine
+    /// keeps at its own simulated time, and every pipeline timeslice through
+    /// a [`TelemetryObserver`]. The engine's counts stay in
+    /// [`EngineMetrics`]; register those in [`Recorder::hub`] to export
+    /// them with the trace.
+    pub fn attach_recorder(&mut self, recorder: Arc<Recorder>) {
+        self.cpu
+            .set_observer(Box::new(TelemetryObserver::new(Arc::clone(&recorder))));
+        self.recorder = Some(recorder);
     }
 
     /// Replaces the fast-sim policy at runtime (the serve daemon's `fastsim`
@@ -411,8 +433,8 @@ impl OnlineEngine {
         self.learner.as_ref().map(Learner::summary)
     }
 
-    /// Enables per-job hierarchical trace spans on the telemetry event
-    /// stream (they also require [`crate::telemetry::enable`]). Each job
+    /// Enables per-job hierarchical trace spans on the recorder's event
+    /// stream (they also require [`Self::attach_recorder`]). Each job
     /// gets its own `job/<id>` track: a `job.lifetime` span wrapping
     /// `job.queue_wait`, a `job.schedule_decision` instant, one
     /// `job.timeslice` span per slice it runs, and a `job.complete` instant.
@@ -497,16 +519,17 @@ impl OnlineEngine {
     pub fn submit(&mut self, arrival: JobArrival) -> usize {
         let key = self.next_key;
         self.next_key += 1;
-        telemetry::instant(
-            "opensys",
-            "opensys.arrival",
-            vec![
-                Attr::num("job", key as f64),
-                Attr::text("benchmark", format!("{:?}", arrival.benchmark)),
-                Attr::text("phased", if arrival.phased { "true" } else { "false" }),
-            ],
-        );
-        telemetry::counter_add("opensys.arrivals", 1);
+        if let Some(r) = &self.recorder {
+            r.instant(
+                "opensys",
+                "opensys.arrival",
+                vec![
+                    Attr::num("job", key as f64),
+                    Attr::text("benchmark", format!("{:?}", arrival.benchmark)),
+                    Attr::text("phased", if arrival.phased { "true" } else { "false" }),
+                ],
+            );
+        }
         // Full 64-bit key: a long-lived daemon past 2^32 submissions must not
         // reuse a stream identity (truncation made jobs replay other jobs'
         // instruction streams).
@@ -525,10 +548,10 @@ impl OnlineEngine {
                     .with_limit(arrival.instructions),
             )
         };
-        if self.job_spans && telemetry::is_enabled() {
-            telemetry::set_clock(self.now);
+        if let Some(r) = self.recorder.as_deref().filter(|_| self.job_spans) {
+            r.set_clock(self.now);
             let track = job_track(key);
-            telemetry::span_start(
+            r.span_start(
                 &track,
                 "job.lifetime",
                 vec![
@@ -537,8 +560,8 @@ impl OnlineEngine {
                     Attr::text("phased", if arrival.phased { "true" } else { "false" }),
                 ],
             );
-            telemetry::instant(&track, "job.admit", vec![Attr::num("key", key as f64)]);
-            telemetry::span_start(&track, "job.queue_wait", vec![]);
+            r.instant(&track, "job.admit", vec![Attr::num("key", key as f64)]);
+            r.span_start(&track, "job.queue_wait", vec![]);
         }
         self.live.push(LiveJob {
             key,
@@ -547,6 +570,7 @@ impl OnlineEngine {
             scheduled_once: false,
         });
         if let Some(m) = &self.metrics {
+            m.arrivals.inc();
             m.queue_depth.set(self.live.len() as f64);
         }
         self.pending_mix_change = true;
@@ -568,19 +592,19 @@ impl OnlineEngine {
         if max == 0 || self.live.is_empty() {
             return Vec::new();
         }
-        let tracing = self.job_spans && telemetry::is_enabled();
+        let tracer = self.recorder.as_deref().filter(|_| self.job_spans);
         let mut taken = Vec::new();
         let mut i = self.live.len();
         while i > 0 && taken.len() < max {
             i -= 1;
             if !self.live[i].scheduled_once {
                 let job = self.live.remove(i);
-                if tracing {
-                    telemetry::set_clock(self.now);
+                if let Some(r) = tracer {
+                    r.set_clock(self.now);
                     let track = job_track(job.key);
-                    telemetry::span_end(&track, "job.queue_wait");
-                    telemetry::instant(&track, "job.reclaimed", vec![]);
-                    telemetry::span_end(&track, "job.lifetime");
+                    r.span_end(&track, "job.queue_wait");
+                    r.instant(&track, "job.reclaimed", vec![]);
+                    r.span_end(&track, "job.lifetime");
                 }
                 taken.push(job.arrival);
             }
@@ -592,7 +616,6 @@ impl OnlineEngine {
             if let Some(m) = &self.metrics {
                 m.queue_depth.set(self.live.len() as f64);
             }
-            telemetry::gauge_set("opensys.jobs_in_system", self.live.len() as f64);
         }
         taken
     }
@@ -607,25 +630,14 @@ impl OnlineEngine {
         if self.live.is_empty() {
             return Vec::new();
         }
-        telemetry::set_clock(self.now);
+        if let Some(r) = &self.recorder {
+            r.set_clock(self.now);
+        }
         if self.pending_mix_change {
             self.pending_mix_change = false;
-            telemetry::gauge_set("opensys.jobs_in_system", self.live.len() as f64);
             self.replan(false);
             if matches!(self.state.mode, Mode::Sampling { .. }) {
-                self.resamples += 1;
-                if let Some(m) = &self.metrics {
-                    m.resamples.inc();
-                }
-                telemetry::instant(
-                    "opensys",
-                    "opensys.resample",
-                    vec![
-                        Attr::text("trigger", "arrival"),
-                        Attr::num("live", self.live.len() as f64),
-                    ],
-                );
-                telemetry::counter_add("opensys.resamples", 1);
+                self.count_resample("arrival");
             }
         }
         // Symbios timer (or pending drift trigger)?
@@ -633,19 +645,7 @@ impl OnlineEngine {
             if self.now >= *until && self.live.len() > self.cfg.smt {
                 self.replan(true);
                 if matches!(self.state.mode, Mode::Sampling { .. }) {
-                    self.resamples += 1;
-                    if let Some(m) = &self.metrics {
-                        m.resamples.inc();
-                    }
-                    telemetry::instant(
-                        "opensys",
-                        "opensys.resample",
-                        vec![
-                            Attr::text("trigger", "timer"),
-                            Attr::num("live", self.live.len() as f64),
-                        ],
-                    );
-                    telemetry::counter_add("opensys.resamples", 1);
+                    self.count_resample("timer");
                 }
             }
         }
@@ -657,7 +657,8 @@ impl OnlineEngine {
             .filter_map(|k| self.live.iter().position(|j| j.key == *k))
             .collect();
         let mode = mode_name(&self.state.mode);
-        let tracing = self.job_spans && telemetry::is_enabled();
+        let recorder = self.recorder.as_deref();
+        let tracer = self.recorder.as_deref().filter(|_| self.job_spans);
         for &pos in &tuple_positions {
             let job = &mut self.live[pos];
             // Mark unconditionally: `scheduled_once` gates migration
@@ -665,11 +666,11 @@ impl OnlineEngine {
             // must be tracked even with telemetry off.
             let first_slice = !job.scheduled_once;
             job.scheduled_once = true;
-            if tracing {
+            if let Some(r) = tracer {
                 let track = job_track(job.key);
                 if first_slice {
-                    telemetry::span_end(&track, "job.queue_wait");
-                    telemetry::instant(
+                    r.span_end(&track, "job.queue_wait");
+                    r.instant(
                         &track,
                         "job.schedule_decision",
                         vec![
@@ -681,7 +682,7 @@ impl OnlineEngine {
                         ],
                     );
                 }
-                telemetry::span_start(&track, "job.timeslice", vec![Attr::text("mode", mode)]);
+                r.span_start(&track, "job.timeslice", vec![Attr::text("mode", mode)]);
             }
         }
         // Fast-sim: outside the sample phase (whose measurements must be
@@ -717,26 +718,28 @@ impl OnlineEngine {
                             if let Some(m) = &self.metrics {
                                 m.fastsim_phase_locks.inc();
                             }
-                            telemetry::instant(
-                                "fastsim",
-                                "fastsim.phase_lock",
-                                vec![
-                                    Attr::num("confidence", confidence),
-                                    Attr::num("tuple_size", tuple_positions.len() as f64),
-                                ],
-                            );
-                            telemetry::counter_add("fastsim.phase_locks", 1);
+                            if let Some(r) = recorder {
+                                r.instant(
+                                    "fastsim",
+                                    "fastsim.phase_lock",
+                                    vec![
+                                        Attr::num("confidence", confidence),
+                                        Attr::num("tuple_size", tuple_positions.len() as f64),
+                                    ],
+                                );
+                            }
                         }
                         Some(FastSimEvent::Fallback { deviation }) => {
                             if let Some(m) = &self.metrics {
                                 m.fastsim_fallbacks.inc();
                             }
-                            telemetry::instant(
-                                "fastsim",
-                                "fastsim.fallback",
-                                vec![Attr::num("deviation", deviation)],
-                            );
-                            telemetry::counter_add("fastsim.fallbacks", 1);
+                            if let Some(r) = recorder {
+                                r.instant(
+                                    "fastsim",
+                                    "fastsim.fallback",
+                                    vec![Attr::num("deviation", deviation)],
+                                );
+                            }
                         }
                         Some(FastSimEvent::Resync {
                             deviation,
@@ -745,15 +748,16 @@ impl OnlineEngine {
                             if let Some(m) = &self.metrics {
                                 m.fastsim_resyncs.inc();
                             }
-                            telemetry::instant(
-                                "fastsim",
-                                "fastsim.resync",
-                                vec![
-                                    Attr::num("deviation", deviation),
-                                    Attr::num("confidence", confidence),
-                                ],
-                            );
-                            telemetry::counter_add("fastsim.resyncs", 1);
+                            if let Some(r) = recorder {
+                                r.instant(
+                                    "fastsim",
+                                    "fastsim.resync",
+                                    vec![
+                                        Attr::num("deviation", deviation),
+                                        Attr::num("confidence", confidence),
+                                    ],
+                                );
+                            }
                         }
                         Some(FastSimEvent::ResampleOk { .. }) | None => {}
                     }
@@ -770,19 +774,16 @@ impl OnlineEngine {
         self.population_cycles += (self.live.len() as u128) * (self.cfg.timeslice as u128);
         self.now += self.cfg.timeslice;
         self.timeslices += 1;
-        if tracing {
-            telemetry::set_clock(self.now);
+        if let Some(r) = tracer {
+            r.set_clock(self.now);
             for &pos in &tuple_positions {
-                telemetry::span_end(&job_track(self.live[pos].key), "job.timeslice");
+                r.span_end(&job_track(self.live[pos].key), "job.timeslice");
             }
-        }
-        if extrapolated {
-            if let Some(m) = &self.metrics {
-                m.extrapolated_slices.inc();
-            }
-            telemetry::counter_add("fastsim.extrapolated_slices", 1);
         }
         if let Some(m) = &self.metrics {
+            if extrapolated {
+                m.extrapolated_slices.inc();
+            }
             m.timeslices.inc();
             m.running.set(tuple_positions.len() as f64);
             match self.state.mode {
@@ -804,6 +805,7 @@ impl OnlineEngine {
             &stats,
             self.now,
             self.metrics.as_ref(),
+            recorder,
             LearnHooks {
                 learner: self.learner.as_mut(),
                 metrics: self.learn_metrics.as_ref(),
@@ -818,24 +820,24 @@ impl OnlineEngine {
         self.live.retain(|j| {
             if j.finished() {
                 let response = now.saturating_sub(j.arrival.arrival);
-                telemetry::instant(
-                    "opensys",
-                    "opensys.departure",
-                    vec![
-                        Attr::num("job", j.key as f64),
-                        Attr::num("response_cycles", response as f64),
-                    ],
-                );
-                telemetry::counter_add("opensys.departures", 1);
-                telemetry::histogram_record("opensys.response_cycles", response);
-                if tracing {
+                if let Some(r) = recorder {
+                    r.instant(
+                        "opensys",
+                        "opensys.departure",
+                        vec![
+                            Attr::num("job", j.key as f64),
+                            Attr::num("response_cycles", response as f64),
+                        ],
+                    );
+                }
+                if let Some(r) = tracer {
                     let track = job_track(j.key);
-                    telemetry::instant(
+                    r.instant(
                         &track,
                         "job.complete",
                         vec![Attr::num("response_cycles", response as f64)],
                     );
-                    telemetry::span_end(&track, "job.lifetime");
+                    r.span_end(&track, "job.lifetime");
                 }
                 departed.push(JobRecord {
                     arrival: j.arrival.clone(),
@@ -849,31 +851,48 @@ impl OnlineEngine {
         if !departed.is_empty() {
             self.completed += departed.len() as u64;
             if let Some(m) = &self.metrics {
+                m.departures.add(departed.len() as u64);
                 m.queue_depth.set(self.live.len() as f64);
             }
-            telemetry::gauge_set("opensys.jobs_in_system", self.live.len() as f64);
             if !self.live.is_empty() {
                 self.replan(false);
                 if matches!(self.state.mode, Mode::Sampling { .. }) {
-                    telemetry::instant(
-                        "opensys",
-                        "opensys.resample",
-                        vec![
-                            Attr::text("trigger", "departure"),
-                            Attr::num("live", self.live.len() as f64),
-                        ],
-                    );
+                    // Departure-triggered sample phases are not counted in
+                    // `resamples` (only arrivals and timer expiries are).
+                    self.trace_resample("departure");
                 }
             }
         }
         departed
     }
 
+    /// Counts a sample phase entered on `trigger` and traces it.
+    fn count_resample(&mut self, trigger: &str) {
+        self.resamples += 1;
+        if let Some(m) = &self.metrics {
+            m.resamples.inc();
+        }
+        self.trace_resample(trigger);
+    }
+
+    fn trace_resample(&self, trigger: &str) {
+        if let Some(r) = &self.recorder {
+            r.instant(
+                "opensys",
+                "opensys.resample",
+                vec![
+                    Attr::text("trigger", trigger),
+                    Attr::num("live", self.live.len() as f64),
+                ],
+            );
+        }
+    }
+
     /// Settles the outstanding bandit pull, if any: reward = realized mean
     /// symbios IPC over the sample-phase mean (the oblivious baseline);
     /// best = the best sampled IPC over the same baseline (an observable
     /// proxy for the best arm — the engine has no solo rates, so true WS is
-    /// not measurable online; see DESIGN.md §13).
+    /// not measurable online; see DESIGN.md §12).
     fn settle_learn(&mut self) {
         let Some(p) = self.pending_learn.take() else {
             return;
@@ -891,16 +910,18 @@ impl OnlineEngine {
         if let Some(m) = &self.learn_metrics {
             m.sync(&l.summary());
         }
-        telemetry::instant(
-            "opensys",
-            "learn.settle",
-            vec![
-                Attr::text("context", p.context),
-                Attr::text("arm", learn::arms()[p.arm].name()),
-                Attr::num("reward", reward),
-                Attr::num("regret", (best - reward).max(0.0)),
-            ],
-        );
+        if let Some(r) = &self.recorder {
+            r.instant(
+                "opensys",
+                "learn.settle",
+                vec![
+                    Attr::text("context", p.context),
+                    Attr::text("arm", learn::arms()[p.arm].name()),
+                    Attr::num("reward", reward),
+                    Attr::num("regret", (best - reward).max(0.0)),
+                ],
+            );
+        }
     }
 
     /// Re-plans after an arrival, a departure, or a symbiosis-timer expiry.
@@ -1033,6 +1054,7 @@ fn advance_after_slice(
     stats: &TimesliceStats,
     now: u64,
     metrics: Option<&EngineMetrics>,
+    recorder: Option<&Recorder>,
     mut hooks: LearnHooks<'_>,
 ) {
     state.slice += 1;
@@ -1105,7 +1127,7 @@ fn advance_after_slice(
                     // Prequential: pick with the model as-is, then train on
                     // this sample phase. Targets are per-candidate sampled
                     // IPC — the engine has no solo rates, so realized WS is
-                    // not observable online (DESIGN.md §13 documents the
+                    // not observable online (DESIGN.md §12 documents the
                     // proxy).
                     let chosen = match cfg.predictor {
                         PredictorKind::Learned => l.choose_learned(&samples),
@@ -1151,12 +1173,16 @@ fn advance_after_slice(
                 // the previous prediction, double the symbiosis interval.
                 let new_interval = if timer_triggered && prev_pick.as_deref() == Some(&order[..]) {
                     let doubled = interval.saturating_mul(2);
-                    telemetry::instant(
-                        "opensys",
-                        "opensys.backoff",
-                        vec![Attr::num("interval", doubled as f64)],
-                    );
-                    telemetry::counter_add("opensys.backoffs", 1);
+                    if let Some(m) = metrics {
+                        m.backoffs.inc();
+                    }
+                    if let Some(r) = recorder {
+                        r.instant(
+                            "opensys",
+                            "opensys.backoff",
+                            vec![Attr::num("interval", doubled as f64)],
+                        );
+                    }
                     doubled
                 } else {
                     cfg.base_interval

@@ -25,7 +25,6 @@
 //! submissions).
 
 use crate::online::{OnlineConfig, OnlineEngine};
-use crate::telemetry::{self, Attr};
 use serde::{Deserialize, Serialize};
 use smtsim::trace::StreamId;
 use smtsim::{MachineConfig, Processor};
@@ -272,20 +271,9 @@ pub fn run_open_system_on_trace(
     trace: &[JobArrival],
 ) -> OpenSystemResult {
     let mut engine = OnlineEngine::new(kind, &cfg.online());
-    let _run_span = telemetry::span(
-        "opensys",
-        "opensys.run",
-        vec![
-            Attr::text("scheduler", format!("{kind:?}")),
-            Attr::num("jobs", trace.len() as f64),
-        ],
-    );
     let mut next_arrival = 0usize;
     let mut completed = Vec::with_capacity(trace.len());
     while completed.len() < trace.len() {
-        // The open system tracks global simulated time itself; keep the
-        // telemetry clock in lockstep (also across idle fast-forwards).
-        telemetry::set_clock(engine.now());
         // Admit arrivals.
         while next_arrival < trace.len() && trace[next_arrival].arrival <= engine.now() {
             engine.submit(trace[next_arrival].clone());

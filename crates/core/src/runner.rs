@@ -267,11 +267,11 @@ impl Runner {
 
     /// Installs a [`crate::telemetry::TelemetryObserver`] on the processor,
     /// so every timeslice this runner executes is recorded as a span (with
-    /// conflict counters and occupancy samples) in the global telemetry
-    /// recorder. Replaces any previously installed observer.
-    pub fn attach_telemetry(&mut self) {
+    /// conflict counters and occupancy samples) in `recorder`. Replaces any
+    /// previously installed observer.
+    pub fn attach_telemetry(&mut self, recorder: std::sync::Arc<crate::telemetry::Recorder>) {
         self.processor
-            .set_observer(Box::new(crate::telemetry::TelemetryObserver::new()));
+            .set_observer(Box::new(crate::telemetry::TelemetryObserver::new(recorder)));
     }
 
     /// Removes the processor's observer, if any (telemetry or otherwise).

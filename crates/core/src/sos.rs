@@ -20,12 +20,17 @@ use crate::predictor::PredictorKind;
 use crate::runner::{RotationStats, Runner};
 use crate::sample::{sample_schedules, ScheduleSample};
 use crate::schedule::Schedule;
-use crate::telemetry::{self, Attr};
+use crate::telemetry::{Attr, Recorder};
 use crate::ws::SoloRates;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use smtsim::MachineConfig;
+use std::sync::Arc;
+
+/// The trace handle threaded through the evaluation stages: `None` for an
+/// untraced run, which then records nothing.
+type Trace<'a> = Option<&'a Arc<Recorder>>;
 
 /// Configuration for an SOS run.
 #[derive(Copy, Clone, Debug, PartialEq, Serialize, Deserialize)]
@@ -187,17 +192,17 @@ impl SosScheduler {
     }
 
     /// A fresh runner for one pure evaluation stage: new pool, new
-    /// processor, telemetry attached when enabled. Every stage of
+    /// processor, telemetry attached when traced. Every stage of
     /// [`Self::evaluate_experiment`] starts from this state, which is what
     /// makes each stage a pure function of `(spec, cfg, schedule)` — the
     /// property the evaluation cache and the parallel candidate evaluation
     /// both rely on.
-    fn fresh_runner(spec: &ExperimentSpec, cfg: &SosConfig) -> Runner {
+    fn fresh_runner(spec: &ExperimentSpec, cfg: &SosConfig, trace: Trace) -> Runner {
         let pool = JobPool::from_specs(&spec.jobmix(), cfg.seed);
         let timeslice = spec.timeslice(cfg.cycle_scale);
         let mut runner = Runner::new(MachineConfig::alpha21264_like(spec.smt), pool, timeslice);
-        if telemetry::is_enabled() {
-            runner.attach_telemetry();
+        if let Some(recorder) = trace {
+            runner.attach_telemetry(Arc::clone(recorder));
         }
         runner
     }
@@ -212,6 +217,10 @@ impl SosScheduler {
     /// pure function of `(spec, cfg)`, memoized through
     /// [`cache::solo_rates`] when the cache is enabled.
     pub fn calibrate(spec: &ExperimentSpec, cfg: &SosConfig) -> SoloRates {
+        Self::calibrate_traced(spec, cfg, None)
+    }
+
+    fn calibrate_traced(spec: &ExperimentSpec, cfg: &SosConfig, trace: Trace) -> SoloRates {
         let key = cache::solo_key(
             Self::machine_hash(spec),
             &spec.label(),
@@ -220,7 +229,7 @@ impl SosScheduler {
             cfg.calibration_cycles,
         );
         cache::solo_rates(&key, || {
-            Self::fresh_runner(spec, cfg)
+            Self::fresh_runner(spec, cfg, trace)
                 .calibrate_solo(cfg.calibration_cycles, cfg.calibration_cycles)
         })
     }
@@ -235,6 +244,15 @@ impl SosScheduler {
         cfg: &SosConfig,
         schedule: &Schedule,
     ) -> Vec<RotationStats> {
+        Self::sample_traced(spec, cfg, schedule, None)
+    }
+
+    fn sample_traced(
+        spec: &ExperimentSpec,
+        cfg: &SosConfig,
+        schedule: &Schedule,
+        trace: Trace,
+    ) -> Vec<RotationStats> {
         let rotations = cfg.rotations_per_sample.max(1);
         let key = cache::sample_key(
             Self::machine_hash(spec),
@@ -245,7 +263,7 @@ impl SosScheduler {
             rotations,
         );
         cache::sample_rotations(&key, || {
-            let mut runner = Self::fresh_runner(spec, cfg);
+            let mut runner = Self::fresh_runner(spec, cfg, trace);
             let _ = runner.run_schedule(schedule, 1);
             runner.run_schedule(schedule, rotations)
         })
@@ -260,6 +278,16 @@ impl SosScheduler {
         schedule: &Schedule,
         cycles: u64,
     ) -> SymbiosEval {
+        Self::symbios_traced(spec, cfg, schedule, cycles, None)
+    }
+
+    fn symbios_traced(
+        spec: &ExperimentSpec,
+        cfg: &SosConfig,
+        schedule: &Schedule,
+        cycles: u64,
+        trace: Trace,
+    ) -> SymbiosEval {
         let key = cache::symbios_key(
             Self::machine_hash(spec),
             &spec.label(),
@@ -269,7 +297,7 @@ impl SosScheduler {
             cycles,
         );
         cache::symbios(&key, || {
-            let mut runner = Self::fresh_runner(spec, cfg);
+            let mut runner = Self::fresh_runner(spec, cfg, trace);
             let _ = runner.run_schedule(schedule, 1);
             let threads = runner.pool().len();
             let rotation_cycles = schedule.slices_per_rotation() as u64 * runner.timeslice();
@@ -304,30 +332,52 @@ impl SosScheduler {
 
     /// [`Self::evaluate_experiment`] with an explicit worker count for the
     /// candidate fan-out (`0` = [`std::thread::available_parallelism`]).
-    /// When telemetry is enabled the count is forced to 1: the event stream
-    /// is ordered by a global simulated clock, and byte-stable traces
-    /// require serial evaluation.
     pub fn evaluate_experiment_with_workers(
         spec: &ExperimentSpec,
         cfg: &SosConfig,
         workers: usize,
     ) -> ExperimentReport {
-        let _experiment_span = telemetry::span(
-            "scheduler",
-            "sos.experiment",
-            vec![Attr::text("spec", spec.to_string())],
-        );
+        Self::evaluate(spec, cfg, workers, None)
+    }
+
+    /// [`Self::evaluate_experiment`] traced into `recorder`: the experiment,
+    /// calibration, sample, and symbios spans, the per-candidate results,
+    /// every predictor's decision, the pipeline timeslices, and the `sos.*`
+    /// and `smtsim.*` metrics. Candidates run on one worker: the event
+    /// stream is ordered by the recorder's simulated clock, and byte-stable
+    /// traces require serial evaluation. The report equals the untraced one.
+    pub fn evaluate_experiment_traced(
+        spec: &ExperimentSpec,
+        cfg: &SosConfig,
+        recorder: &Arc<Recorder>,
+    ) -> ExperimentReport {
+        Self::evaluate(spec, cfg, 1, Some(recorder))
+    }
+
+    fn evaluate(
+        spec: &ExperimentSpec,
+        cfg: &SosConfig,
+        workers: usize,
+        trace: Trace,
+    ) -> ExperimentReport {
+        let _experiment_span = trace.map(|r| {
+            r.span(
+                "scheduler",
+                "sos.experiment",
+                vec![Attr::text("spec", spec.to_string())],
+            )
+        });
         let stats_before = cache::stats();
         let solo = {
-            let _span = telemetry::span("scheduler", "sos.calibrate", vec![]);
-            Self::calibrate(spec, cfg)
+            let _span = trace.map(|r| r.span("scheduler", "sos.calibrate", vec![]));
+            Self::calibrate_traced(spec, cfg, trace)
         };
         let candidates = Self::candidates(spec, cfg);
-        telemetry::counter_add("sos.experiments", 1);
-        telemetry::counter_add("sos.candidates_sampled", candidates.len() as u64);
-        let workers = if telemetry::is_enabled() {
-            1
-        } else if workers == 0 {
+        if let Some(r) = trace {
+            r.counter_add("sos.experiments", 1);
+            r.counter_add("sos.candidates_sampled", candidates.len() as u64);
+        }
+        let workers = if workers == 0 {
             std::thread::available_parallelism()
                 .map(|p| p.get())
                 .unwrap_or(1)
@@ -338,19 +388,23 @@ impl SosScheduler {
         let mut samples = Vec::with_capacity(candidates.len());
         let mut sample_ws = Vec::with_capacity(candidates.len());
         {
-            let _span = telemetry::span(
-                "scheduler",
-                "sos.sample_phase",
-                vec![Attr::num("candidates", candidates.len() as f64)],
-            );
+            let _span = trace.map(|r| {
+                r.span(
+                    "scheduler",
+                    "sos.sample_phase",
+                    vec![Attr::num("candidates", candidates.len() as f64)],
+                )
+            });
             let rotations =
                 crate::par::parallel_map_with_workers(candidates.clone(), workers, |schedule| {
-                    let _candidate_span = telemetry::span(
-                        "scheduler",
-                        "sos.sample_candidate",
-                        vec![Attr::text("schedule", schedule.paper_notation())],
-                    );
-                    Self::sample_candidate(spec, cfg, &schedule)
+                    let _candidate_span = trace.map(|r| {
+                        r.span(
+                            "scheduler",
+                            "sos.sample_candidate",
+                            vec![Attr::text("schedule", schedule.paper_notation())],
+                        )
+                    });
+                    Self::sample_traced(spec, cfg, &schedule, trace)
                 });
             for (schedule, rots) in candidates.iter().zip(&rotations) {
                 samples.push(crate::sample::ScheduleSample::from_rotations(
@@ -364,14 +418,16 @@ impl SosScheduler {
                     }
                 }
                 let ws = crate::ws::weighted_speedup(&committed, cycles, &solo);
-                telemetry::instant(
-                    "scheduler",
-                    "sos.sample_result",
-                    vec![
-                        Attr::text("schedule", schedule.paper_notation()),
-                        Attr::num("ws", ws),
-                    ],
-                );
+                if let Some(r) = trace {
+                    r.instant(
+                        "scheduler",
+                        "sos.sample_result",
+                        vec![
+                            Attr::text("schedule", schedule.paper_notation()),
+                            Attr::num("ws", ws),
+                        ],
+                    );
+                }
                 sample_ws.push(ws);
             }
         }
@@ -380,7 +436,7 @@ impl SosScheduler {
             .iter()
             .map(|&p| {
                 let pick = p.choose(&samples);
-                if telemetry::is_enabled() {
+                if let Some(r) = trace {
                     let scores = p.scores(&samples);
                     let mut attrs = vec![
                         Attr::text("predictor", p.name()),
@@ -390,7 +446,7 @@ impl SosScheduler {
                     for (i, s) in scores.iter().enumerate() {
                         attrs.push(Attr::num(format!("score.{i}"), *s));
                     }
-                    telemetry::instant("scheduler", "sos.predictor_decision", attrs);
+                    r.instant("scheduler", "sos.predictor_decision", attrs);
                 }
                 (p, pick)
             })
@@ -399,42 +455,49 @@ impl SosScheduler {
         let symbios_cycles = spec.symbios_cycles(cfg.cycle_scale);
         let symbios_evals =
             crate::par::parallel_map_with_workers(candidates.clone(), workers, |s| {
-                let _span = telemetry::span(
-                    "scheduler",
-                    "sos.symbios_phase",
-                    vec![Attr::text("schedule", s.paper_notation())],
-                );
-                Self::symbios_candidate(spec, cfg, &s, symbios_cycles)
+                let _span = trace.map(|r| {
+                    r.span(
+                        "scheduler",
+                        "sos.symbios_phase",
+                        vec![Attr::text("schedule", s.paper_notation())],
+                    )
+                });
+                Self::symbios_traced(spec, cfg, &s, symbios_cycles, trace)
             });
         let symbios_ws: Vec<f64> = candidates
             .iter()
             .zip(&symbios_evals)
             .map(|(s, ev)| {
                 let ws = crate::ws::weighted_speedup(&ev.committed, ev.cycles, &solo);
-                telemetry::instant(
-                    "scheduler",
-                    "sos.symbios_result",
-                    vec![
-                        Attr::text("schedule", s.paper_notation()),
-                        Attr::num("ws", ws),
-                    ],
-                );
+                if let Some(r) = trace {
+                    r.instant(
+                        "scheduler",
+                        "sos.symbios_result",
+                        vec![
+                            Attr::text("schedule", s.paper_notation()),
+                            Attr::num("ws", ws),
+                        ],
+                    );
+                }
                 ws
             })
             .collect();
-        telemetry::gauge_set("sos.best_ws", {
-            symbios_ws.iter().copied().fold(f64::NEG_INFINITY, f64::max)
-        });
-        if cache::is_enabled() {
-            let after = cache::stats();
-            telemetry::counter_add(
-                "sos.cache.hits",
-                after.hits.saturating_sub(stats_before.hits),
+        if let Some(r) = trace {
+            r.gauge_set(
+                "sos.best_ws",
+                symbios_ws.iter().copied().fold(f64::NEG_INFINITY, f64::max),
             );
-            telemetry::counter_add(
-                "sos.cache.misses",
-                after.misses.saturating_sub(stats_before.misses),
-            );
+            if cache::is_enabled() {
+                let after = cache::stats();
+                r.counter_add(
+                    "sos.cache.hits",
+                    after.hits.saturating_sub(stats_before.hits),
+                );
+                r.counter_add(
+                    "sos.cache.misses",
+                    after.misses.saturating_sub(stats_before.misses),
+                );
+            }
         }
 
         ExperimentReport {
@@ -502,20 +565,6 @@ impl SosScheduler {
                 .collect();
             learner.reward_all(&context, &rewards, arm);
         }
-        telemetry::instant(
-            "scheduler",
-            "learn.decision",
-            vec![
-                Attr::text("spec", spec.to_string()),
-                Attr::text("context", context),
-                Attr::text("arm", learn::arms()[arm].name()),
-                Attr::num("learned_pick", learned_pick as f64),
-                Attr::num("bandit_pick", bandit_pick as f64),
-                Attr::num("train_updates", learner.train_updates() as f64),
-                Attr::num("err_ewma", learner.err_ewma()),
-                Attr::num("bandit_regret", learner.bandit().total_regret()),
-            ],
-        );
         report
     }
 }

@@ -1,48 +1,49 @@
-//! Zero-dependency telemetry: metrics, an event stream, and trace export.
+//! Tracing: an event stream on the simulated-cycle clock, and its export.
 //!
-//! This module gives every layer of the reproduction a common place to report
-//! what it is doing, without changing any API signature: a process-wide
-//! [`Recorder`] (disabled by default, one relaxed atomic load on the fast
-//! path) collects
+//! A [`Recorder`] is an explicit handle that a run or an engine owns; there
+//! is no process-wide recorder. It holds
 //!
-//! * **metrics** — named counters, gauges, and log2-bucket [`Histogram`]s in
-//!   a [`MetricRegistry`], exportable as JSONL;
 //! * **events** — a time-stamped [`Event`] stream of spans
 //!   (`SpanStart`/`SpanEnd`), instants, and counter samples, exportable as
 //!   JSONL or as Chrome `trace_event` JSON loadable in Perfetto
-//!   (<https://ui.perfetto.dev>).
+//!   (<https://ui.perfetto.dev>);
+//! * **the simulated-cycle clock** that stamps those events;
+//! * **a [`MetricsHub`]** ([`Recorder::hub`]) — counters, gauges, and
+//!   histograms live there, so a traced run and a live daemon export one
+//!   metrics document ([`crate::metrics::MetricsSnapshot`]).
 //!
-//! Timestamps are *simulated cycles* on a global clock. The
-//! [`TelemetryObserver`] (an [`smtsim::Observer`] bridge) advances the clock
-//! as timeslices retire; open-system code re-syncs it with
-//! [`set_clock`] since it already tracks global simulated time. For export,
+//! Code that emits events takes the handle explicitly: a
+//! [`TelemetryObserver`] (an [`smtsim::Observer`] bridge) holds an
+//! `Arc<Recorder>` and advances its clock as timeslices retire;
+//! [`crate::runner::Runner::attach_telemetry`] and
+//! [`crate::online::OnlineEngine::attach_recorder`] install one, and
+//! [`crate::sos::SosScheduler::evaluate_experiment_traced`] traces the SOS
+//! phases. Untraced code holds no recorder and pays nothing. For export,
 //! cycles are converted to microseconds at [`TRACE_CLOCK_MHZ`].
 //!
 //! ## Usage
 //!
 //! ```
-//! use sos_core::telemetry::{self, Attr};
+//! use sos_core::telemetry::{Attr, Recorder};
 //!
-//! telemetry::reset();
-//! telemetry::enable();
+//! let recorder = Recorder::new();
 //! {
-//!     let _span = telemetry::span("scheduler", "demo.phase", vec![]);
-//!     telemetry::counter_add("demo.widgets", 3);
-//!     telemetry::instant("scheduler", "demo.tick", vec![Attr::num("n", 1.0)]);
+//!     let _span = recorder.span("scheduler", "demo.phase", vec![]);
+//!     recorder.counter_add("demo.widgets", 3);
+//!     recorder.instant("scheduler", "demo.tick", vec![Attr::num("n", 1.0)]);
 //! }
-//! let snapshot = telemetry::drain();
-//! telemetry::disable();
+//! let snapshot = recorder.drain();
 //! assert_eq!(snapshot.events.len(), 3); // span start + instant + span end
+//! assert_eq!(snapshot.metrics.counters["demo.widgets"], 3);
 //! assert!(snapshot.chrome_trace_json().contains("traceEvents"));
 //! ```
 
+use crate::metrics::{MetricsHub, MetricsSnapshot};
 use serde::{Deserialize, Serialize};
 use smtsim::counters::Resource;
 use smtsim::observe::{Observer, StageOccupancy};
 use smtsim::TimesliceStats;
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// Simulated clock rate assumed when converting cycles to trace time:
 /// 500 MHz (a late-90s Alpha 21264), i.e. 500 cycles per microsecond.
@@ -98,7 +99,7 @@ impl Attr {
     }
 }
 
-/// One telemetry event on the global simulated-cycle timeline.
+/// One telemetry event on a recorder's simulated-cycle timeline.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct Event {
     /// Global simulated-cycle timestamp.
@@ -125,313 +126,47 @@ pub fn events_to_jsonl(events: &[Event]) -> String {
 }
 
 // ---------------------------------------------------------------------------
-// Metrics
-// ---------------------------------------------------------------------------
-
-/// A histogram over `u64` values with logarithmic (power-of-two) buckets.
-///
-/// Bucket `0` counts zeros; bucket `i > 0` counts values `v` with
-/// `2^(i-1) <= v < 2^i`. 65 buckets cover the full `u64` range.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct Histogram {
-    /// Number of recorded values.
-    pub count: u64,
-    /// Sum of recorded values.
-    pub sum: u64,
-    /// Per-bucket counts (see type docs for bucket boundaries).
-    pub buckets: Vec<u64>,
-}
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Histogram {
-            count: 0,
-            sum: 0,
-            buckets: vec![0; 65],
-        }
-    }
-}
-
-impl Histogram {
-    /// Bucket index for `value`.
-    pub fn bucket_index(value: u64) -> usize {
-        (64 - value.leading_zeros()) as usize
-    }
-
-    /// Inclusive lower bound of bucket `i`.
-    pub fn bucket_lower_bound(i: usize) -> u64 {
-        if i == 0 {
-            0
-        } else {
-            1u64 << (i - 1)
-        }
-    }
-
-    /// Records one value.
-    pub fn record(&mut self, value: u64) {
-        self.count += 1;
-        self.sum = self.sum.saturating_add(value);
-        self.buckets[Self::bucket_index(value)] += 1;
-    }
-
-    /// Mean of recorded values (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-
-    /// Approximate quantile (`q` in `[0, 1]`): the lower bound of the bucket
-    /// containing the `q`-th ordered value.
-    pub fn approx_quantile(&self, q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let rank = (q.clamp(0.0, 1.0) * (self.count - 1) as f64) as u64;
-        let mut seen = 0u64;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            seen += c;
-            if seen > rank {
-                return Self::bucket_lower_bound(i);
-            }
-        }
-        Self::bucket_lower_bound(64)
-    }
-
-    /// The p50/p95/p99 summary of the recorded distribution, from
-    /// [`approx_quantile`](Self::approx_quantile) (so each value is the
-    /// lower bound of its log2 bucket — a floor, not an interpolation).
-    /// All fields are `NaN` when the histogram is empty, matching
-    /// [`crate::report::percentiles`] on empty input.
-    pub fn percentile_summary(&self) -> crate::report::Percentiles {
-        if self.count == 0 {
-            return crate::report::Percentiles {
-                p50: f64::NAN,
-                p95: f64::NAN,
-                p99: f64::NAN,
-            };
-        }
-        crate::report::Percentiles {
-            p50: self.approx_quantile(0.50) as f64,
-            p95: self.approx_quantile(0.95) as f64,
-            p99: self.approx_quantile(0.99) as f64,
-        }
-    }
-
-    /// Adds another histogram's observations into this one.
-    pub fn merge(&mut self, other: &Histogram) {
-        self.count += other.count;
-        self.sum = self.sum.saturating_add(other.sum);
-        for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
-            *a += b;
-        }
-    }
-}
-
-/// Discriminates [`Metric`] payloads.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub enum MetricKind {
-    /// Monotonic `u64` sum.
-    Counter,
-    /// Last-write-wins `f64`.
-    Gauge,
-    /// Log2-bucket distribution.
-    Histogram,
-}
-
-/// A named metric snapshot: exactly one of the payload fields is set,
-/// matching `kind`.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct Metric {
-    /// Metric name, e.g. `"smtsim.cycles"`.
-    pub name: String,
-    /// Payload discriminator.
-    pub kind: MetricKind,
-    /// Counter value (when `kind == Counter`).
-    pub counter: Option<u64>,
-    /// Gauge value (when `kind == Gauge`).
-    pub gauge: Option<f64>,
-    /// Histogram value (when `kind == Histogram`).
-    pub histogram: Option<Histogram>,
-}
-
-#[derive(Clone)]
-enum MetricValue {
-    Counter(u64),
-    Gauge(f64),
-    Histogram(Histogram),
-}
-
-/// A registry of named counters, gauges, and histograms.
-///
-/// Writes with a kind different from the name's existing kind are ignored
-/// rather than panicking (telemetry must never take the simulation down).
-#[derive(Default)]
-pub struct MetricRegistry {
-    metrics: BTreeMap<String, MetricValue>,
-}
-
-impl MetricRegistry {
-    /// An empty registry.
-    pub const fn new() -> Self {
-        MetricRegistry {
-            metrics: BTreeMap::new(),
-        }
-    }
-
-    /// Adds `delta` to counter `name` (creating it at zero).
-    pub fn counter_add(&mut self, name: &str, delta: u64) {
-        if let MetricValue::Counter(c) = self
-            .metrics
-            .entry(name.to_string())
-            .or_insert(MetricValue::Counter(0))
-        {
-            *c += delta;
-        }
-    }
-
-    /// Sets gauge `name` to `value`.
-    pub fn gauge_set(&mut self, name: &str, value: f64) {
-        if let MetricValue::Gauge(g) = self
-            .metrics
-            .entry(name.to_string())
-            .or_insert(MetricValue::Gauge(0.0))
-        {
-            *g = value;
-        }
-    }
-
-    /// Records `value` into histogram `name` (creating it empty).
-    pub fn histogram_record(&mut self, name: &str, value: u64) {
-        if let MetricValue::Histogram(h) = self
-            .metrics
-            .entry(name.to_string())
-            .or_insert_with(|| MetricValue::Histogram(Histogram::default()))
-        {
-            h.record(value);
-        }
-    }
-
-    /// Number of registered metrics.
-    pub fn len(&self) -> usize {
-        self.metrics.len()
-    }
-
-    /// Whether the registry is empty.
-    pub fn is_empty(&self) -> bool {
-        self.metrics.is_empty()
-    }
-
-    /// Snapshots every metric, sorted by name.
-    pub fn snapshot(&self) -> Vec<Metric> {
-        self.metrics
-            .iter()
-            .map(|(name, v)| match v {
-                MetricValue::Counter(c) => Metric {
-                    name: name.clone(),
-                    kind: MetricKind::Counter,
-                    counter: Some(*c),
-                    gauge: None,
-                    histogram: None,
-                },
-                MetricValue::Gauge(g) => Metric {
-                    name: name.clone(),
-                    kind: MetricKind::Gauge,
-                    counter: None,
-                    gauge: Some(*g),
-                    histogram: None,
-                },
-                MetricValue::Histogram(h) => Metric {
-                    name: name.clone(),
-                    kind: MetricKind::Histogram,
-                    counter: None,
-                    gauge: None,
-                    histogram: Some(h.clone()),
-                },
-            })
-            .collect()
-    }
-
-    fn clear(&mut self) {
-        self.metrics.clear();
-    }
-}
-
-/// Serializes metrics as JSONL (one metric object per line, sorted by name).
-pub fn metrics_to_jsonl(metrics: &[Metric]) -> String {
-    let mut out = String::new();
-    for m in metrics {
-        out.push_str(&serde_json::to_string(m).expect("metric serializes"));
-        out.push('\n');
-    }
-    out
-}
-
-// ---------------------------------------------------------------------------
-// The global recorder
+// The recorder
 // ---------------------------------------------------------------------------
 
 struct RecorderInner {
     events: Vec<Event>,
-    registry: MetricRegistry,
     clock_cycles: u64,
 }
 
-/// A telemetry collector: an enable flag, an event buffer, a metric
-/// registry, and a simulated-cycle clock.
-///
-/// The process-wide instance behind the module-level free functions is the
-/// normal way to use this; the type is public so tests and embedders can
-/// run isolated recorders.
+/// A trace handle: an event buffer, a simulated-cycle clock, and the
+/// [`MetricsHub`] its metrics go to. Share it as an `Arc<Recorder>`; every
+/// method takes `&self`.
 pub struct Recorder {
-    enabled: AtomicBool,
+    hub: Arc<MetricsHub>,
     inner: Mutex<RecorderInner>,
 }
 
 impl Recorder {
-    /// A disabled recorder with an empty buffer and registry.
-    pub const fn new() -> Self {
+    /// A recorder with an empty buffer, the clock at 0, and a fresh hub.
+    pub fn new() -> Self {
+        Recorder::with_hub(Arc::new(MetricsHub::new()))
+    }
+
+    /// A recorder whose metrics go to `hub` (e.g. a daemon's live hub).
+    pub fn with_hub(hub: Arc<MetricsHub>) -> Self {
         Recorder {
-            enabled: AtomicBool::new(false),
+            hub,
             inner: Mutex::new(RecorderInner {
                 events: Vec::new(),
-                registry: MetricRegistry::new(),
                 clock_cycles: 0,
             }),
         }
     }
 
-    /// Starts recording.
-    pub fn enable(&self) {
-        self.enabled.store(true, Ordering::Relaxed);
-    }
-
-    /// Stops recording (buffered data is kept until [`Recorder::drain`] or
-    /// [`Recorder::reset`]).
-    pub fn disable(&self) {
-        self.enabled.store(false, Ordering::Relaxed);
-    }
-
-    /// Whether recording is on. This is the fast path every probe checks
-    /// first: a single relaxed atomic load.
-    #[inline]
-    pub fn is_enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
-    }
-
-    /// Clears events, metrics, and the clock (the enable flag is untouched).
-    pub fn reset(&self) {
-        let mut inner = self.lock();
-        inner.events.clear();
-        inner.registry.clear();
-        inner.clock_cycles = 0;
+    /// The hub this recorder's metrics go to.
+    pub fn hub(&self) -> &Arc<MetricsHub> {
+        &self.hub
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, RecorderInner> {
-        // Telemetry must keep working even if a panicking test poisoned the
-        // lock; the data is append-mostly and stays structurally valid.
+        // Telemetry must keep working even if a panicking thread poisoned
+        // the lock; the data is append-mostly and stays structurally valid.
         self.inner.lock().unwrap_or_else(|e| e.into_inner())
     }
 
@@ -442,30 +177,17 @@ impl Recorder {
 
     /// Sets the clock (used by code that tracks global simulated time).
     pub fn set_clock(&self, cycles: u64) {
-        if !self.is_enabled() {
-            return;
-        }
         self.lock().clock_cycles = cycles;
     }
 
     /// Advances the clock by `cycles`.
     pub fn advance_clock(&self, cycles: u64) {
-        if !self.is_enabled() {
-            return;
-        }
-        let mut inner = self.lock();
-        inner.clock_cycles += cycles;
+        self.lock().clock_cycles += cycles;
     }
 
-    fn push_at(
-        &self,
-        ts_cycles: u64,
-        phase: EventPhase,
-        track: &str,
-        name: &str,
-        attrs: Vec<Attr>,
-    ) {
+    fn push(&self, ts: Option<u64>, phase: EventPhase, track: &str, name: &str, attrs: Vec<Attr>) {
         let mut inner = self.lock();
+        let ts_cycles = ts.unwrap_or(inner.clock_cycles);
         inner.events.push(Event {
             ts_cycles,
             phase,
@@ -475,76 +197,69 @@ impl Recorder {
         });
     }
 
-    fn push(&self, phase: EventPhase, track: &str, name: &str, attrs: Vec<Attr>) {
-        let mut inner = self.lock();
-        let ts = inner.clock_cycles;
-        inner.events.push(Event {
-            ts_cycles: ts,
-            phase,
-            track: track.to_string(),
-            name: name.to_string(),
-            attrs,
-        });
-    }
-
-    /// Emits a [`EventPhase::SpanStart`] at the current clock.
+    /// Emits a [`EventPhase::SpanStart`] at the current clock (see
+    /// [`Recorder::span`] for the RAII form).
     pub fn span_start(&self, track: &str, name: &str, attrs: Vec<Attr>) {
-        if self.is_enabled() {
-            self.push(EventPhase::SpanStart, track, name, attrs);
-        }
+        self.push(None, EventPhase::SpanStart, track, name, attrs);
     }
 
     /// Emits a [`EventPhase::SpanEnd`] at the current clock.
     pub fn span_end(&self, track: &str, name: &str) {
-        if self.is_enabled() {
-            self.push(EventPhase::SpanEnd, track, name, Vec::new());
-        }
+        self.push(None, EventPhase::SpanEnd, track, name, Vec::new());
     }
 
     /// Emits an [`EventPhase::Instant`] at the current clock.
     pub fn instant(&self, track: &str, name: &str, attrs: Vec<Attr>) {
-        if self.is_enabled() {
-            self.push(EventPhase::Instant, track, name, attrs);
-        }
+        self.push(None, EventPhase::Instant, track, name, attrs);
     }
 
     /// Emits an [`EventPhase::Counter`] sample at an explicit timestamp
     /// (e.g. occupancy sampled mid-timeslice, before the clock advances).
     pub fn counter_sample_at(&self, ts_cycles: u64, track: &str, name: &str, attrs: Vec<Attr>) {
-        if self.is_enabled() {
-            self.push_at(ts_cycles, EventPhase::Counter, track, name, attrs);
+        self.push(Some(ts_cycles), EventPhase::Counter, track, name, attrs);
+    }
+
+    /// Opens a span, closed when the returned guard drops, so spans close
+    /// on every exit path.
+    ///
+    /// Track and name are `'static` by design — span names should be
+    /// low-cardinality; put per-instance details in `attrs`.
+    pub fn span(&self, track: &'static str, name: &'static str, attrs: Vec<Attr>) -> SpanGuard<'_> {
+        self.span_start(track, name, attrs);
+        SpanGuard {
+            recorder: self,
+            track,
+            name,
         }
     }
 
-    /// Adds to a named counter metric.
+    /// Adds to counter `name` in the hub.
     pub fn counter_add(&self, name: &str, delta: u64) {
-        if self.is_enabled() {
-            self.lock().registry.counter_add(name, delta);
-        }
+        self.hub.counter(name).add(delta);
     }
 
-    /// Sets a named gauge metric.
+    /// Sets gauge `name` in the hub.
     pub fn gauge_set(&self, name: &str, value: f64) {
-        if self.is_enabled() {
-            self.lock().registry.gauge_set(name, value);
-        }
+        self.hub.gauge(name).set(value);
     }
 
-    /// Records into a named histogram metric.
+    /// Records `value` at the current clock into the whole-run histogram
+    /// `name` in the hub ([`MetricsHub::record_run`]).
     pub fn histogram_record(&self, name: &str, value: u64) {
-        if self.is_enabled() {
-            self.lock().registry.histogram_record(name, value);
-        }
+        self.hub.record_run(name, self.clock(), value);
     }
 
-    /// Takes the buffered events and a metric snapshot, clearing both (the
-    /// clock and enable flag are untouched).
+    /// Takes the buffered events, with a snapshot of the hub at the current
+    /// clock. The hub keeps its values; a second drain has no events.
     pub fn drain(&self) -> Snapshot {
-        let mut inner = self.lock();
-        let events = std::mem::take(&mut inner.events);
-        let metrics = inner.registry.snapshot();
-        inner.registry.clear();
-        Snapshot { events, metrics }
+        let (events, now) = {
+            let mut inner = self.lock();
+            (std::mem::take(&mut inner.events), inner.clock_cycles)
+        };
+        Snapshot {
+            events,
+            metrics: self.hub.snapshot(now),
+        }
     }
 }
 
@@ -554,109 +269,17 @@ impl Default for Recorder {
     }
 }
 
-static GLOBAL: Recorder = Recorder::new();
-
-/// The process-wide recorder behind the module-level free functions.
-pub fn global() -> &'static Recorder {
-    &GLOBAL
-}
-
-/// Starts recording on the global recorder.
-pub fn enable() {
-    GLOBAL.enable()
-}
-
-/// Stops recording on the global recorder.
-pub fn disable() {
-    GLOBAL.disable()
-}
-
-/// Whether global recording is on.
-#[inline]
-pub fn is_enabled() -> bool {
-    GLOBAL.is_enabled()
-}
-
-/// Clears the global recorder's events, metrics, and clock.
-pub fn reset() {
-    GLOBAL.reset()
-}
-
-/// The global simulated-cycle clock.
-pub fn clock() -> u64 {
-    GLOBAL.clock()
-}
-
-/// Sets the global clock.
-pub fn set_clock(cycles: u64) {
-    GLOBAL.set_clock(cycles)
-}
-
-/// Advances the global clock.
-pub fn advance_clock(cycles: u64) {
-    GLOBAL.advance_clock(cycles)
-}
-
-/// Emits a span-start event (see [`span`] for the RAII form).
-pub fn span_start(track: &str, name: &str, attrs: Vec<Attr>) {
-    GLOBAL.span_start(track, name, attrs)
-}
-
-/// Emits a span-end event.
-pub fn span_end(track: &str, name: &str) {
-    GLOBAL.span_end(track, name)
-}
-
-/// Emits an instant event.
-pub fn instant(track: &str, name: &str, attrs: Vec<Attr>) {
-    GLOBAL.instant(track, name, attrs)
-}
-
-/// Emits a counter sample at an explicit timestamp.
-pub fn counter_sample_at(ts_cycles: u64, track: &str, name: &str, attrs: Vec<Attr>) {
-    GLOBAL.counter_sample_at(ts_cycles, track, name, attrs)
-}
-
-/// Adds to a global counter metric.
-pub fn counter_add(name: &str, delta: u64) {
-    GLOBAL.counter_add(name, delta)
-}
-
-/// Sets a global gauge metric.
-pub fn gauge_set(name: &str, value: f64) {
-    GLOBAL.gauge_set(name, value)
-}
-
-/// Records into a global histogram metric.
-pub fn histogram_record(name: &str, value: u64) {
-    GLOBAL.histogram_record(name, value)
-}
-
-/// Drains the global recorder.
-pub fn drain() -> Snapshot {
-    GLOBAL.drain()
-}
-
-/// An RAII span on the global recorder: emits `SpanStart` on creation and
-/// `SpanEnd` on drop, so spans close on every exit path.
-///
-/// Track and name are `'static` by design — span names should be
-/// low-cardinality; put per-instance details in `attrs`.
+/// An open span on a [`Recorder`]: emits `SpanEnd` when dropped.
 #[must_use = "the span closes when this guard drops"]
-pub struct SpanGuard {
+pub struct SpanGuard<'a> {
+    recorder: &'a Recorder,
     track: &'static str,
     name: &'static str,
 }
 
-/// Opens a span on the global recorder, closed when the guard drops.
-pub fn span(track: &'static str, name: &'static str, attrs: Vec<Attr>) -> SpanGuard {
-    span_start(track, name, attrs);
-    SpanGuard { track, name }
-}
-
-impl Drop for SpanGuard {
+impl Drop for SpanGuard<'_> {
     fn drop(&mut self) {
-        span_end(self.track, self.name);
+        self.recorder.span_end(self.track, self.name);
     }
 }
 
@@ -664,27 +287,17 @@ impl Drop for SpanGuard {
 // Snapshot and export
 // ---------------------------------------------------------------------------
 
-/// Everything drained from a recorder: the event stream and a metric
-/// snapshot.
+/// Everything drained from a recorder: the event stream and a snapshot of
+/// its metrics hub.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct Snapshot {
     /// Buffered events in emission order.
     pub events: Vec<Event>,
-    /// Metric snapshot, sorted by name.
-    pub metrics: Vec<Metric>,
+    /// The hub's metrics document.
+    pub metrics: MetricsSnapshot,
 }
 
 impl Snapshot {
-    /// Events as JSONL.
-    pub fn events_jsonl(&self) -> String {
-        events_to_jsonl(&self.events)
-    }
-
-    /// Metrics as JSONL.
-    pub fn metrics_jsonl(&self) -> String {
-        metrics_to_jsonl(&self.metrics)
-    }
-
     /// The event stream as Chrome `trace_event` JSON (object format), with
     /// cycles converted to microseconds at [`TRACE_CLOCK_MHZ`]. Loadable in
     /// Perfetto or `chrome://tracing`.
@@ -784,35 +397,39 @@ pub fn chrome_trace_value(events: &[Event]) -> serde::Value {
 // The smtsim bridge observer
 // ---------------------------------------------------------------------------
 
-/// Bridges [`smtsim::Observer`] pipeline probes into the global recorder:
+/// Bridges [`smtsim::Observer`] pipeline probes into a [`Recorder`]:
 ///
-/// * timeslices become `smtsim.timeslice` spans and advance the global
+/// * timeslices become `smtsim.timeslice` spans and advance the recorder's
 ///   clock;
 /// * per-cycle conflict events are aggregated locally (no lock in the cycle
 ///   loop) and flushed as `smtsim.conflict_cycles.<resource>` counters at
 ///   the timeslice boundary;
 /// * sampled [`StageOccupancy`] snapshots become `C` (counter-track) events
 ///   with the pipeline-structure occupancies.
-#[derive(Debug, Default)]
 pub struct TelemetryObserver {
-    /// Global clock at the current timeslice's cycle 0.
+    recorder: Arc<Recorder>,
+    /// Recorder clock at the current timeslice's cycle 0.
     base_cycle: u64,
     /// Conflict cycles this timeslice, indexed like [`Resource::ALL`].
     conflict_cycles: [u64; 7],
 }
 
 impl TelemetryObserver {
-    /// A fresh bridge observer.
-    pub fn new() -> Self {
-        TelemetryObserver::default()
+    /// A bridge observer recording into `recorder`.
+    pub fn new(recorder: Arc<Recorder>) -> Self {
+        TelemetryObserver {
+            recorder,
+            base_cycle: 0,
+            conflict_cycles: [0; 7],
+        }
     }
 }
 
 impl Observer for TelemetryObserver {
     fn timeslice_start(&mut self, threads: usize, cycles: u64) {
-        self.base_cycle = clock();
+        self.base_cycle = self.recorder.clock();
         self.conflict_cycles = [0; 7];
-        span_start(
+        self.recorder.span_start(
             "smtsim",
             "smtsim.timeslice",
             vec![
@@ -831,7 +448,7 @@ impl Observer for TelemetryObserver {
     }
 
     fn stage_occupancy(&mut self, occ: &StageOccupancy) {
-        counter_sample_at(
+        self.recorder.counter_sample_at(
             self.base_cycle + occ.cycle,
             "smtsim",
             "smtsim.occupancy",
@@ -847,21 +464,22 @@ impl Observer for TelemetryObserver {
     }
 
     fn timeslice_end(&mut self, stats: &TimesliceStats) {
-        advance_clock(stats.cycles);
-        counter_add("smtsim.cycles", stats.cycles);
-        counter_add("smtsim.timeslices", 1);
+        let r = &self.recorder;
+        r.advance_clock(stats.cycles);
+        r.counter_add("smtsim.cycles", stats.cycles);
+        r.counter_add("smtsim.timeslices", 1);
         let committed = stats.total_committed();
-        counter_add("smtsim.committed", committed);
-        histogram_record("smtsim.timeslice_committed", committed);
-        for (i, &r) in Resource::ALL.iter().enumerate() {
+        r.counter_add("smtsim.committed", committed);
+        r.histogram_record("smtsim.timeslice_committed", committed);
+        for (i, &res) in Resource::ALL.iter().enumerate() {
             if self.conflict_cycles[i] > 0 {
-                counter_add(
-                    &format!("smtsim.conflict_cycles.{r}"),
+                r.counter_add(
+                    &format!("smtsim.conflict_cycles.{res}"),
                     self.conflict_cycles[i],
                 );
             }
         }
-        span_end("smtsim", "smtsim.timeslice");
+        r.span_end("smtsim", "smtsim.timeslice");
     }
 }
 
@@ -869,30 +487,20 @@ impl Observer for TelemetryObserver {
 mod tests {
     use super::*;
 
-    /// Serializes global-recorder tests: the test harness runs threads in
-    /// parallel and the recorder is process-wide.
-    pub(crate) static TEST_GUARD: Mutex<()> = Mutex::new(());
-
-    fn locked() -> std::sync::MutexGuard<'static, ()> {
-        TEST_GUARD.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
     #[test]
-    fn disabled_recorder_drops_everything() {
+    fn fresh_recorder_is_empty() {
         let r = Recorder::new();
-        r.span_start("t", "a", vec![]);
-        r.counter_add("c", 5);
-        r.advance_clock(100);
         let snap = r.drain();
         assert!(snap.events.is_empty());
-        assert!(snap.metrics.is_empty());
+        assert!(snap.metrics.counters.is_empty());
+        assert!(snap.metrics.gauges.is_empty());
+        assert!(snap.metrics.histograms.is_empty());
         assert_eq!(r.clock(), 0);
     }
 
     #[test]
     fn recorder_buffers_events_and_metrics() {
         let r = Recorder::new();
-        r.enable();
         r.advance_clock(50);
         r.span_start("track", "phase", vec![Attr::text("k", "v")]);
         r.advance_clock(25);
@@ -911,89 +519,36 @@ mod tests {
         assert_eq!(snap.events[0].phase, EventPhase::SpanStart);
         assert_eq!(snap.events[2].phase, EventPhase::SpanEnd);
 
-        assert_eq!(snap.metrics.len(), 3);
-        let jobs = snap.metrics.iter().find(|m| m.name == "jobs").unwrap();
-        assert_eq!(jobs.counter, Some(5));
-        let load = snap.metrics.iter().find(|m| m.name == "load").unwrap();
-        assert_eq!(load.gauge, Some(0.75));
-        let lat = snap.metrics.iter().find(|m| m.name == "lat").unwrap();
-        let h = lat.histogram.as_ref().unwrap();
+        let m = &snap.metrics;
+        assert_eq!(m.counters.len() + m.gauges.len() + m.histograms.len(), 3);
+        assert_eq!(m.counters["jobs"], 5);
+        assert_eq!(m.gauges["load"], 0.75);
+        let h = &m.histograms["lat"];
         assert_eq!(h.count, 2);
         assert_eq!(h.sum, 3_100);
+        assert_eq!(m.now_cycles, 75);
 
-        // Drained: a second drain is empty.
+        // Drained: a second drain has no events.
         assert!(r.drain().events.is_empty());
     }
 
     #[test]
-    fn histogram_buckets_are_log2() {
-        let mut h = Histogram::default();
-        for v in [0u64, 1, 2, 3, 4, 7, 8, 1024] {
-            h.record(v);
-        }
-        assert_eq!(h.buckets[0], 1); // 0
-        assert_eq!(h.buckets[1], 1); // 1
-        assert_eq!(h.buckets[2], 2); // 2, 3
-        assert_eq!(h.buckets[3], 2); // 4..8
-        assert_eq!(h.buckets[4], 1); // 8..16
-        assert_eq!(h.buckets[11], 1); // 1024..2048
-        assert_eq!(h.count, 8);
-        assert_eq!(Histogram::bucket_lower_bound(11), 1024);
-        assert!(h.approx_quantile(0.0) <= h.approx_quantile(1.0));
-    }
-
-    #[test]
-    fn histogram_percentile_summary() {
-        let mut h = Histogram::default();
-        for _ in 0..99 {
-            h.record(100); // bucket lower bound 64
-        }
-        h.record(1 << 20);
-        let p = h.percentile_summary();
-        assert_eq!(p.p50, 64.0);
-        assert_eq!(p.p95, 64.0);
-        // The single outlier is the 100th value: p99 still lands in the
-        // dense bucket, and the summary is monotone.
-        assert!(p.p50 <= p.p95 && p.p95 <= p.p99);
-        let empty = Histogram::default().percentile_summary();
-        assert!(empty.p50.is_nan() && empty.p95.is_nan() && empty.p99.is_nan());
-    }
-
-    #[test]
-    fn histogram_merge_adds_observations() {
-        let mut a = Histogram::default();
-        let mut b = Histogram::default();
-        a.record(10);
-        b.record(100);
-        b.record(1);
-        a.merge(&b);
-        assert_eq!(a.count, 3);
-        assert_eq!(a.sum, 111);
-    }
-
-    #[test]
-    fn registry_ignores_kind_mismatches() {
-        let mut reg = MetricRegistry::new();
-        reg.counter_add("x", 1);
-        reg.gauge_set("x", 9.0); // ignored: x is a counter
-        reg.histogram_record("x", 4); // ignored
-        let snap = reg.snapshot();
-        assert_eq!(snap.len(), 1);
-        assert_eq!(snap[0].kind, MetricKind::Counter);
-        assert_eq!(snap[0].counter, Some(1));
+    fn recorder_metrics_share_the_given_hub() {
+        let hub = Arc::new(MetricsHub::new());
+        let r = Recorder::with_hub(Arc::clone(&hub));
+        r.counter_add("smtsim.cycles", 7);
+        assert_eq!(hub.counter("smtsim.cycles").get(), 7);
+        assert!(Arc::ptr_eq(r.hub(), &hub));
     }
 
     #[test]
     fn span_guard_closes_on_drop() {
-        let _l = locked();
-        reset();
-        enable();
+        let r = Recorder::new();
         {
-            let _g = span("scheduler", "outer", vec![]);
-            instant("scheduler", "mid", vec![]);
+            let _g = r.span("scheduler", "outer", vec![]);
+            r.instant("scheduler", "mid", vec![]);
         }
-        disable();
-        let snap = drain();
+        let snap = r.drain();
         let phases: Vec<EventPhase> = snap.events.iter().map(|e| e.phase).collect();
         assert_eq!(
             phases,
@@ -1068,18 +623,12 @@ mod tests {
         let back: Event = serde_json::from_str(&line).unwrap();
         assert_eq!(back, e);
 
-        let mut h = Histogram::default();
-        h.record(77);
-        let m = Metric {
-            name: "lat".into(),
-            kind: MetricKind::Histogram,
-            counter: None,
-            gauge: None,
-            histogram: Some(h),
-        };
-        let line = serde_json::to_string(&m).unwrap();
-        let back: Metric = serde_json::from_str(&line).unwrap();
-        assert_eq!(back, m);
+        let r = Recorder::new();
+        r.histogram_record("lat", 77);
+        let metrics = r.drain().metrics;
+        let line = serde_json::to_string(&metrics).unwrap();
+        let back: MetricsSnapshot = serde_json::from_str(&line).unwrap();
+        assert_eq!(back, metrics);
     }
 
     #[test]
@@ -1099,19 +648,16 @@ mod tests {
             }
         }
 
-        let _l = locked();
-        reset();
-        enable();
+        let recorder = Arc::new(Recorder::new());
         let mut p = Processor::new(MachineConfig::alpha21264_like(2));
-        p.set_observer(Box::new(TelemetryObserver::new()));
+        p.set_observer(Box::new(TelemetryObserver::new(Arc::clone(&recorder))));
         p.set_occupancy_interval(500);
         let mut job = Alu { pc: 0 };
         let _ = p.run_timeslice(&mut [&mut job], 2_000);
         let _ = p.run_timeslice(&mut [&mut job], 2_000);
-        disable();
-        let snap = drain();
+        let snap = recorder.drain();
 
-        assert_eq!(clock() % 4_000, 0);
+        assert_eq!(recorder.clock() % 4_000, 0);
         let starts = snap
             .events
             .iter()
@@ -1133,12 +679,6 @@ mod tests {
             .filter(|e| e.name == "smtsim.occupancy")
             .count();
         assert_eq!(occ, 8);
-        let cycles = snap
-            .metrics
-            .iter()
-            .find(|m| m.name == "smtsim.cycles")
-            .unwrap();
-        assert_eq!(cycles.counter, Some(4_000));
-        reset();
+        assert_eq!(snap.metrics.counters["smtsim.cycles"], 4_000);
     }
 }

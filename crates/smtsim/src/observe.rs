@@ -20,8 +20,10 @@
 //! `observer_overhead` benchmark in the `sos-bench` crate).
 //!
 //! Observers that aggregate state across timeslices (e.g. a telemetry sink)
-//! conventionally hold a shared handle (`Arc<Mutex<…>>` or a global
-//! recorder) rather than relying on retrieving the box from the engine.
+//! conventionally hold a shared handle (`Arc<Mutex<…>>` or a recorder
+//! behind an `Arc`) rather than relying on retrieving the box from the
+//! engine. Observers are `Send`, so a processor carrying one can move to
+//! another thread.
 
 use crate::counters::Resource;
 use crate::stats::TimesliceStats;
@@ -61,7 +63,7 @@ impl StageOccupancy {
 /// All methods default to no-ops. Implementations should be cheap: probes
 /// run inside the cycle loop (conflict events) or at sampled cycles
 /// (occupancy), and a slow observer slows the simulation accordingly.
-pub trait Observer {
+pub trait Observer: Send {
     /// A timeslice is starting: `threads` instruction streams will run for
     /// `cycles` cycles on a cold pipeline.
     fn timeslice_start(&mut self, threads: usize, cycles: u64) {

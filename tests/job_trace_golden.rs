@@ -2,23 +2,20 @@
 //! `OnlineEngine` with job spans enabled must produce a byte-identical
 //! Chrome trace across reruns, with the full span tree per job
 //! (admit → queue wait → schedule decision → timeslices → complete) on that
-//! job's own track.
-//!
-//! This lives in its own integration-test binary because the telemetry
-//! recorder is process-global: sharing a process with other telemetry tests
-//! would interleave their events into the trace under test.
+//! job's own track. Each run traces into its own recorder, so concurrent
+//! runs cannot interleave their events.
 
 use sos_core::online::{OnlineConfig, OnlineEngine, SchedulerKind};
 use sos_core::opensys::JobArrival;
-use sos_core::telemetry;
+use sos_core::telemetry::Recorder;
 use sos_core::PredictorKind;
+use std::sync::{Arc, Barrier};
 use workloads::spec::Benchmark;
 
 /// Runs the seeded 3-job scenario with job spans on and returns the Chrome
 /// trace JSON.
 fn traced_run() -> String {
-    telemetry::reset();
-    telemetry::enable();
+    let recorder = Arc::new(Recorder::new());
     let cfg = OnlineConfig {
         smt: 2,
         timeslice: 2_000,
@@ -31,6 +28,7 @@ fn traced_run() -> String {
         learn: None,
     };
     let mut engine = OnlineEngine::new(SchedulerKind::Sos, &cfg);
+    engine.attach_recorder(Arc::clone(&recorder));
     engine.set_job_spans(true);
     let jobs = [
         (Benchmark::Gcc, 40_000, false),
@@ -51,9 +49,7 @@ fn traced_run() -> String {
         safety += 1;
         assert!(safety < 100_000, "run did not terminate");
     }
-    let snap = telemetry::global().drain();
-    telemetry::disable();
-    snap.chrome_trace_json()
+    recorder.drain().chrome_trace_json()
 }
 
 #[test]
@@ -61,6 +57,29 @@ fn job_span_trace_is_byte_identical_across_reruns() {
     let first = traced_run();
     let second = traced_run();
     assert_eq!(first, second, "job-span trace must be deterministic");
+}
+
+#[test]
+fn concurrent_traces_on_separate_recorders_match_the_serial_trace() {
+    let serial = traced_run();
+    // Both threads start tracing at once, each on its own recorder.
+    let start = Arc::new(Barrier::new(2));
+    let threads: Vec<_> = (0..2)
+        .map(|_| {
+            let start = Arc::clone(&start);
+            std::thread::spawn(move || {
+                start.wait();
+                traced_run()
+            })
+        })
+        .collect();
+    for t in threads {
+        let trace = t.join().expect("traced run panicked");
+        assert_eq!(
+            trace, serial,
+            "a concurrent trace differs from the serial one"
+        );
+    }
 }
 
 #[test]

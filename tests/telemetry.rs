@@ -1,18 +1,15 @@
 //! Telemetry-subsystem integration tests: serde round-trips for the event
 //! and metric models, event ordering/nesting across a real SOS run, and a
-//! golden schema check for the Chrome trace exporter.
+//! golden schema check for the Chrome trace exporter. Every test that
+//! traces owns its recorder, so the tests run in parallel.
 
 use smt_symbiosis::sos::sos::{SosConfig, SosScheduler};
 use smt_symbiosis::sos::telemetry::{
-    self, chrome_trace_value, Attr, Event, EventPhase, Histogram, Metric, MetricKind, Snapshot,
+    chrome_trace_value, Attr, Event, EventPhase, Recorder, Snapshot,
 };
 use smt_symbiosis::sos::ExperimentSpec;
 use smtsim::{ConflictCounters, ThreadStats};
-use std::sync::Mutex;
-
-/// The recorder is process-wide and the test harness is multi-threaded:
-/// every test that touches the global recorder takes this lock.
-static RECORDER_LOCK: Mutex<()> = Mutex::new(());
+use std::sync::Arc;
 
 fn round_trip<T>(value: &T) -> T
 where
@@ -46,32 +43,12 @@ fn events_round_trip_in_every_phase() {
 
 #[test]
 fn metrics_and_snapshots_round_trip() {
-    let mut h = Histogram::default();
-    h.record(0);
-    h.record(513);
-    let metrics = vec![
-        Metric {
-            name: "c".into(),
-            kind: MetricKind::Counter,
-            counter: Some(42),
-            gauge: None,
-            histogram: None,
-        },
-        Metric {
-            name: "g".into(),
-            kind: MetricKind::Gauge,
-            counter: None,
-            gauge: Some(-1.25),
-            histogram: None,
-        },
-        Metric {
-            name: "h".into(),
-            kind: MetricKind::Histogram,
-            counter: None,
-            gauge: None,
-            histogram: Some(h),
-        },
-    ];
+    let recorder = Recorder::new();
+    recorder.counter_add("c", 42);
+    recorder.gauge_set("g", -1.25);
+    recorder.histogram_record("h", 0);
+    recorder.histogram_record("h", 513);
+    let metrics = recorder.drain().metrics;
     let snap = Snapshot {
         events: vec![Event {
             ts_cycles: 7,
@@ -121,19 +98,15 @@ fn rfind(events: &[Event], phase: EventPhase, name: &str) -> usize {
 
 #[test]
 fn sos_run_emits_well_nested_ordered_events() {
-    let _guard = RECORDER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    telemetry::reset();
-    telemetry::enable();
     let spec: ExperimentSpec = "Jsb(4,2,2)".parse().unwrap();
     let cfg = SosConfig {
         cycle_scale: 20_000,
         calibration_cycles: 15_000,
         ..SosConfig::default()
     };
-    let report = SosScheduler::evaluate_experiment(&spec, &cfg);
-    telemetry::disable();
-    let snap = telemetry::drain();
-    telemetry::reset();
+    let recorder = Arc::new(Recorder::new());
+    let report = SosScheduler::evaluate_experiment_traced(&spec, &cfg, &recorder);
+    let snap = recorder.drain();
     let events = &snap.events;
     assert!(!events.is_empty());
 
@@ -208,8 +181,8 @@ fn sos_run_emits_well_nested_ordered_events() {
 
     // The smtsim bridge recorded timeslices and conflict metrics.
     assert!(count_named(EventPhase::SpanStart, "smtsim.timeslice") > 0);
-    assert!(snap.metrics.iter().any(|m| m.name == "smtsim.cycles"));
-    assert!(snap.metrics.iter().any(|m| m.name == "sos.experiments"));
+    assert!(snap.metrics.counters.contains_key("smtsim.cycles"));
+    assert!(snap.metrics.counters.contains_key("sos.experiments"));
 }
 
 #[test]
@@ -237,6 +210,16 @@ fn chrome_trace_matches_golden_schema() {
             attrs: vec![],
         },
     ];
+    // The same events, recorded through a recorder's clock.
+    let recorder = Recorder::new();
+    recorder.set_clock(500);
+    recorder.span_start("scheduler", "phase", vec![Attr::text("spec", "J")]);
+    recorder.set_clock(1_000);
+    recorder.instant("scheduler", "tick", vec![Attr::num("x", 1.5)]);
+    recorder.set_clock(1_500);
+    recorder.span_end("scheduler", "phase");
+    assert_eq!(recorder.drain().events, events);
+
     let json = serde_json::to_string(&chrome_trace_value(&events)).unwrap();
     let golden = concat!(
         r#"{"traceEvents":["#,
@@ -250,18 +233,25 @@ fn chrome_trace_matches_golden_schema() {
 }
 
 #[test]
-fn disabled_telemetry_records_nothing_during_sos_run() {
-    let _guard = RECORDER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    telemetry::reset();
-    assert!(!telemetry::is_enabled());
+fn untraced_sos_run_records_nothing_and_tracing_leaves_the_report_unchanged() {
+    let recorder = Arc::new(Recorder::new());
     let spec: ExperimentSpec = "Jsb(4,2,2)".parse().unwrap();
     let cfg = SosConfig {
         cycle_scale: 40_000,
         calibration_cycles: 10_000,
         ..SosConfig::default()
     };
-    let _ = SosScheduler::evaluate_experiment(&spec, &cfg);
-    let snap = telemetry::drain();
+    let untraced = SosScheduler::evaluate_experiment(&spec, &cfg);
+    let snap = recorder.drain();
     assert!(snap.events.is_empty());
-    assert!(snap.metrics.is_empty());
+    assert!(snap.metrics.counters.is_empty());
+    assert!(snap.metrics.gauges.is_empty());
+    assert!(snap.metrics.histograms.is_empty());
+
+    let traced = SosScheduler::evaluate_experiment_traced(&spec, &cfg, &recorder);
+    assert!(!recorder.drain().events.is_empty());
+    assert_eq!(
+        serde_json::to_string(&traced).unwrap(),
+        serde_json::to_string(&untraced).unwrap()
+    );
 }
